@@ -32,7 +32,7 @@ from .graphs import (
     to_graph6,
     turan_graph,
 )
-from .solver import HARD_CEILING, ex_general
+from .solver import HARD_CEILING, ex_general, validate_ceiling
 from .verifier import (
     CSV_COLUMNS,
     TheoremReport,
@@ -441,10 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.ceiling is not None and not 1 <= args.ceiling <= HARD_CEILING:
-        print(f"--ceiling must be between 1 and {HARD_CEILING}", file=sys.stderr)
-        return 2
     try:
+        if args.ceiling is not None:
+            validate_ceiling(args.ceiling, "--ceiling")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -246,15 +246,30 @@ class CanonicalForm:
     """Canonical relabelling of a graph.
 
     Two graphs are isomorphic iff their canonical forms compare equal;
-    equality and hashing ignore the permutation, so a CanonicalForm (or its
-    .key()) works as a dictionary key for isomorphism classes.
+    equality and hashing ignore everything but the canonical graph, so a
+    CanonicalForm (or its .key()) works as a dictionary key for isomorphism
+    classes.
+
+    `automorphisms` are the non-identity automorphisms of the input graph
+    that the search discovered, in the input's labelling (sigma[v] is the
+    image of v); they generate its whole automorphism group unless
+    `truncated` is set, meaning _MAX_AUTOMORPHISM_GENERATORS cut the list
+    short and they may generate only a subgroup.
     """
 
-    __slots__ = ("graph", "permutation")
+    __slots__ = ("graph", "permutation", "automorphisms", "truncated")
 
-    def __init__(self, graph: Graph, permutation: tuple[int, ...]):
+    def __init__(
+        self,
+        graph: Graph,
+        permutation: tuple[int, ...],
+        automorphisms: tuple[tuple[int, ...], ...] = (),
+        truncated: bool = False,
+    ):
         self.graph = graph
         self.permutation = permutation
+        self.automorphisms = automorphisms
+        self.truncated = truncated
 
     def key(self) -> tuple[int, tuple[int, ...]]:
         return (self.graph.n, self.graph.adj)
@@ -313,6 +328,9 @@ def canonical_form(g: Graph) -> CanonicalForm:
     restricted to those fixing the individualised prefix) as an explored
     sibling are pruned.  The canonical graph is the lexicographic minimum of
     the relabelled adjacency rows over all refinement-consistent labellings.
+    Each leaf that repeats an earlier leaf's rows yields an automorphism;
+    since every pruned leaf is the image of an explored one under those,
+    they generate the whole automorphism group (see CanonicalForm).
     """
     n = g.n
     if n == 0:
@@ -324,9 +342,10 @@ def canonical_form(g: Graph) -> CanonicalForm:
     best_perm: list[int] | None = None
     leaf_first: dict[tuple[int, ...], list[int]] = {}
     autos: list[tuple[int, ...]] = []
+    truncated = False
 
     def record_leaf(colors: list[int]) -> None:
-        nonlocal best_rows, best_perm
+        nonlocal best_rows, best_perm, truncated
         rows = _permuted_rows(n, adj, colors)
         if best_rows is None or rows < best_rows:
             best_rows, best_perm = rows, list(colors)
@@ -340,6 +359,8 @@ def canonical_form(g: Graph) -> CanonicalForm:
             sigma = tuple(inv_prev[colors[v]] for v in range(n))
             if any(sigma[v] != v for v in range(n)) and sigma not in autos:
                 autos.append(sigma)
+        else:
+            truncated = True
 
     def orbit_mask(v: int, gens: list[tuple[int, ...]]) -> int:
         seen = 1 << v
@@ -384,7 +405,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
     descend(base, [])
     assert best_rows is not None and best_perm is not None
-    return CanonicalForm(_raw(n, best_rows), tuple(best_perm))
+    return CanonicalForm(_raw(n, best_rows), tuple(best_perm), tuple(autos), truncated)
 
 
 def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:

@@ -1,12 +1,17 @@
 """Isomorph-free exhaustive enumeration of forbidden-family-free graphs and
 exact generalized Turán values with extremal witnesses.
 
-Enumeration is level-synchronous over the edge count: the children of a
-level are all one-edge extensions of its members, kept only when the new
-edge creates no forbidden subgraph (freeness is monotone under edge
-deletion, so this pruning is exact), then deduplicated by canonical form.
-Each level is processed in sorted canonical order, so the stream - and
-everything derived from it - is deterministic, with or without workers.
+Enumeration is level-synchronous over the edge count and uses McKay's
+canonical augmentation (B. D. McKay, Isomorph-free exhaustive generation,
+J. Algorithms 26, 1998), the scheme behind nauty's geng.  Each class
+representative carries generators of its automorphism group; its non-edges
+are tried one per orbit, a child is dropped when the new edge creates a
+forbidden subgraph (freeness is monotone under edge deletion, so this
+pruning is exact), and a child is kept only when the new edge is
+equivalent to its canonical edge, so every class is produced once, with one
+canonical labelling, and no set is needed.  Each level is sorted by
+canonical adjacency, so the stream - and everything derived from it - is
+deterministic, with or without workers.
 """
 
 from __future__ import annotations
@@ -25,7 +30,15 @@ from .containment import (
     minimalize,
 )
 from .covering import family_fp, p_of_f
-from .graphs import Graph, _raw, canonical_form, from_graph6, to_graph6
+from .graphs import (
+    CanonicalForm,
+    Graph,
+    _raw,
+    _refine,
+    canonical_form,
+    from_graph6,
+    to_graph6,
+)
 from .invariants import count_cliques
 
 HARD_CEILING = 10
@@ -36,14 +49,29 @@ class CeilingError(ValueError):
     """Raised when an enumeration would exceed the configured ceiling."""
 
 
+def validate_ceiling(value: int | str, source: str) -> int:
+    """`value` as an int in 1..HARD_CEILING, else a ValueError naming the
+    `source` it came from."""
+    try:
+        ceiling = int(value)
+    except ValueError:
+        ceiling = 0
+    if not 1 <= ceiling <= HARD_CEILING:
+        raise ValueError(
+            f"{source} must be an integer between 1 and {HARD_CEILING}, got {value!r}"
+        )
+    return ceiling
+
+
 def resolve_ceiling(family: GraphFamily, ceiling: int | None = None) -> int:
     """Explicit argument, else the MATCHTURAN_CEILING env var, else 10 when
-    the family prunes hard (some member on <= 4 vertices), else 9."""
+    the family prunes hard (some member on <= 4 vertices), else 9.  The
+    argument and the env var must lie in 1..HARD_CEILING."""
     if ceiling is not None:
-        return ceiling
+        return validate_ceiling(ceiling, "ceiling argument")
     env = os.environ.get(ENV_CEILING)
     if env:
-        return int(env)
+        return validate_ceiling(env, ENV_CEILING)
     if any(m.n <= 4 for m in family):
         return 10
     return 9
@@ -96,20 +124,103 @@ def _edge_creates_member(
     return False
 
 
+# a class representative: canonical rows, generators of its automorphism
+# group in that labelling, and whether the generator list was truncated
+Labelled = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], bool]
+
+
+def _labelled(cf: CanonicalForm) -> Labelled:
+    # carry the automorphisms over from the input labelling to the canonical one
+    perm = cf.permutation
+    gens = []
+    for sigma in cf.automorphisms:
+        tau = [0] * len(perm)
+        for v, p in enumerate(perm):
+            tau[p] = perm[sigma[v]]
+        gens.append(tuple(tau))
+    return cf.graph.adj, tuple(gens), cf.truncated
+
+
+def _pair_orbit(
+    u: int, v: int, gens: tuple[tuple[int, ...], ...]
+) -> set[tuple[int, int]]:
+    orbit = {(u, v)}
+    stack = [(u, v)]
+    while stack:
+        a, b = stack.pop()
+        for g in gens:
+            x, y = g[a], g[b]
+            pair = (x, y) if x < y else (y, x)
+            if pair not in orbit:
+                orbit.add(pair)
+                stack.append(pair)
+    return orbit
+
+
+def _top_class(
+    n: int, adj: tuple[int, ...], u: int, v: int
+) -> list[tuple[int, int]] | None:
+    # An edge's colour is its sorted pair of endpoint colours under the
+    # child's equitable refinement, an isomorphism invariant.  Returns the
+    # edges of the largest colour when uv has it, else None.
+    # Refinement from one cell orders colours by degree first, so an edge
+    # whose endpoints both beat uv's smaller degree has a larger colour.
+    low = min(adj[u].bit_count(), adj[v].bit_count())
+    above = 0
+    for a in range(n):
+        if adj[a].bit_count() > low:
+            above |= 1 << a
+    for a in range(n):
+        if above >> a & 1 and adj[a] & above:
+            return None
+    colors = _refine(n, adj, [0] * n)
+    cu, cv = colors[u], colors[v]
+    top = (cu, cv) if cu < cv else (cv, cu)
+    out = []
+    for a in range(n):
+        ca = colors[a]
+        m = adj[a] >> (a + 1)
+        while m:
+            bit = m & -m
+            m ^= bit
+            b = a + bit.bit_length()
+            cb = colors[b]
+            pair = (ca, cb) if ca < cb else (cb, ca)
+            if pair > top:
+                return None
+            if pair == top:
+                out.append((a, b))
+    return out
+
+
 def _expand_parents(
-    n: int, parent_rows: list[tuple[int, ...]], member_rows: list[tuple[int, ...]]
-) -> set[tuple[int, ...]]:
+    n: int, parents: list[Labelled], member_rows: list[tuple[int, ...]]
+) -> list[Labelled]:
+    """Canonical augmentation (McKay 1998): the children of `parents` that
+    are accepted, one per isomorphism class.  A child C = P + uv is
+    accepted iff uv lies in the Aut(C)-orbit of C's canonical edge m(C),
+    the edge of C's largest edge colour (see _top_class) with the largest
+    canonical image.  Then C is accepted only from the class representative
+    of C - m(C), and only from one Aut(P)-orbit of non-edges, which the
+    parent's generators prune to a single representative."""
     members = [_raw(len(rows), rows) for rows in member_rows]
     # MATCHTURAN_DEBUG_PRUNING=1 cross-checks the incremental new-edge test
     # against a full containment scan on every child (slow, exact)
     debug = os.environ.get("MATCHTURAN_DEBUG_PRUNING") == "1"
-    out: set[tuple[int, ...]] = set()
-    for rows in parent_rows:
+    out: list[Labelled] = []
+    for rows, gens, parent_truncated in parents:
+        kids: list[Labelled] = []
+        # Truncated generators may leave two Aut(P)-equivalent non-edges, or
+        # let the fallback below accept C from P twice; every copy of a class
+        # then still comes from this one parent, so deduplicating here is exact.
+        loose = parent_truncated
+        seen: set[tuple[int, int]] = set()
         for u in range(n):
-            row_u = rows[u]
             for v in range(u + 1, n):
-                if row_u >> v & 1:
+                if rows[u] >> v & 1 or (u, v) in seen:
                     continue
+                if gens:
+                    seen |= _pair_orbit(u, v, gens)
                 child_rows = list(rows)
                 child_rows[u] |= 1 << v
                 child_rows[v] |= 1 << u
@@ -122,13 +233,28 @@ def _expand_parents(
                     )
                 if created:
                     continue
-                out.add(canonical_form(child).graph.adj)
+                top = _top_class(n, child.adj, u, v)
+                if top is None:
+                    continue
+                cf = canonical_form(child)
+                if len(top) > 1:
+                    perm = cf.permutation
+                    a, b = max(top, key=lambda e: sorted((perm[e[0]], perm[e[1]])))
+                    if (a, b) not in _pair_orbit(u, v, cf.automorphisms):
+                        if not cf.truncated:
+                            continue
+                        # the orbit may be incomplete: accept iff C - m(C) is
+                        # isomorphic to the parent, the canonical parent
+                        child_rows[a] ^= 1 << b
+                        child_rows[b] ^= 1 << a
+                        if canonical_form(_raw(n, child_rows)).graph.adj != rows:
+                            continue
+                        loose = True
+                kids.append(_labelled(cf))
+        if loose:
+            kids = list({kid[0]: kid for kid in kids}.values())
+        out.extend(kids)
     return out
-
-
-def _expand_chunk(args: tuple) -> list[tuple[int, ...]]:
-    n, parent_rows, member_rows = args
-    return list(_expand_parents(n, parent_rows, member_rows))
 
 
 def enumerate_free(
@@ -150,26 +276,23 @@ def enumerate_free(
     member_rows = [m.adj for m in reduced if m.n <= n]
 
     pool = None
-    ctx = get_context("fork")
-    if workers > 1:
-        pool = ctx.Pool(workers)
     try:
-        level: list[tuple[int, ...]] = [tuple([0] * n)]
+        level = [_labelled(canonical_form(_raw(n, [0] * n)))]
         while level:
-            for rows in level:
+            for rows, _, _ in level:
                 yield _raw(n, rows)
-            if pool is not None and len(level) >= 4 * workers:
+            if workers > 1 and len(level) >= 4 * workers:
+                if pool is None:
+                    pool = get_context("fork").Pool(workers)
                 chunk = (len(level) + workers - 1) // workers
-                args = [
-                    (n, level[i : i + chunk], member_rows)
-                    for i in range(0, len(level), chunk)
-                ]
-                merged: set[tuple[int, ...]] = set()
-                for part in pool.map(_expand_chunk, args):
-                    merged.update(part)
+                parts = pool.starmap(
+                    _expand_parents,
+                    [(n, level[i : i + chunk], member_rows) for i in range(0, len(level), chunk)],
+                )
+                level = [kid for part in parts for kid in part]
             else:
-                merged = _expand_parents(n, level, member_rows)
-            level = sorted(merged)
+                level = _expand_parents(n, level, member_rows)
+            level.sort()
     finally:
         if pool is not None:
             pool.close()

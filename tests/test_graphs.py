@@ -3,6 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from matchturan.containment import GraphFamily
 from matchturan.graphs import (
     Graph,
     Graph6Error,
@@ -28,6 +29,7 @@ from matchturan.graphs import (
     to_graph6,
     turan_graph,
 )
+from matchturan.solver import enumerate_free
 
 
 def test_empty_constructor():
@@ -154,6 +156,46 @@ def test_canonical_permutation_postcondition():
         g = graph_from_pair_mask(n, rng.randrange(1 << (n * (n - 1) // 2)))
         cf = canonical_form(g)
         assert relabel(g, cf.permutation) == cf.graph
+
+
+def _closure_orbits(n, gens):
+    """Vertex and edge orbits of the group generated by gens."""
+
+    def orbits(points, image):
+        out, seen = set(), set()
+        for x in points:
+            if x in seen:
+                continue
+            orbit, stack = {x}, [x]
+            while stack:
+                y = stack.pop()
+                for g in gens:
+                    z = image(g, y)
+                    if z not in orbit:
+                        orbit.add(z)
+                        stack.append(z)
+            seen |= orbit
+            out.add(frozenset(orbit))
+        return out
+
+    return orbits(range(n), lambda g, v: g[v]), orbits(
+        combinations(range(n), 2), lambda g, e: tuple(sorted((g[e[0]], g[e[1]])))
+    )
+
+
+def test_automorphism_generators_match_brute_force():
+    rng = random.Random(5)
+    for n in range(0, 7):
+        for rep in enumerate_free(n, GraphFamily()):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = relabel(rep, perm)
+            cf = canonical_form(g)
+            assert not cf.truncated
+            for sigma in cf.automorphisms:
+                assert relabel(g, sigma) == g
+            group = [p for p in permutations(range(n)) if relabel(g, p) == g]
+            assert _closure_orbits(n, cf.automorphisms) == _closure_orbits(n, group)
 
 
 def test_canonical_form_is_dict_key():

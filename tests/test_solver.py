@@ -3,9 +3,19 @@ from itertools import permutations
 
 import pytest
 
-from matchturan.containment import GraphFamily, is_family_free
+import matchturan.graphs
+import matchturan.solver
+from matchturan.cli import main
+from matchturan.containment import (
+    GraphFamily,
+    contains_subgraph,
+    is_family_free,
+    minimalize,
+)
 from matchturan.covering import family_fp
 from matchturan.graphs import (
+    add_edge,
+    canonical_form,
     canonical_key,
     complete,
     cycle,
@@ -46,6 +56,67 @@ def _labelled_class_count(n):
                     m |= 1 << idx
             seen.add(m)
     return count
+
+
+def _oracle_stream(n, family):
+    """The enumerator before canonical augmentation: canonicalize every
+    family-free one-edge child of a level, dedup the level in a set, sort."""
+    reduced = minimalize(family)
+    if any(m.edge_count() == 0 and m.n <= n for m in reduced):
+        return []
+    members = [m for m in reduced if m.n <= n]
+    stream = []
+    level = [empty(n)]
+    while level:
+        stream.extend(g.adj for g in level)
+        children = set()
+        for g in level:
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if g.has_edge(u, v):
+                        continue
+                    child = add_edge(g, u, v)
+                    if not any(contains_subgraph(child, m) for m in members):
+                        children.add(canonical_form(child).graph)
+        level = sorted(children, key=lambda h: h.adj)
+    return stream
+
+
+ORACLE_FAMILIES = {
+    "empty": GraphFamily(),
+    "K3": GraphFamily([complete(3)]),
+    "M3,K4": GraphFamily([matching(3), complete(4)]),
+    "M3,C5": GraphFamily([matching(3), cycle(5)]),
+    "P4,S4": GraphFamily([path(4), star(4)]),
+    "fp(C5,3)": family_fp(cycle(5), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+def test_stream_matches_dedup_oracle(name, monkeypatch):
+    """Same graphs in the same order as the per-child canonicalizing loop,
+    serial and pooled, with full and with truncated automorphism
+    generators (a cap of 1 forces the exact fallback for the latter)."""
+    family = ORACLE_FAMILIES[name]
+    for n in range(0, 8):
+        expected = _oracle_stream(n, family)
+        for cap in (None, 1):
+            with monkeypatch.context() as m:
+                if cap is not None:
+                    m.setattr(matchturan.graphs, "_MAX_AUTOMORPHISM_GENERATORS", cap)
+                    assert canonical_form(complete(4)).truncated
+                for workers in (1, 2):
+                    got = [g.adj for g in enumerate_free(n, family, workers=workers)]
+                    assert got == expected, (n, cap, workers)
+
+
+def test_pool_forks_only_for_wide_levels(monkeypatch):
+    def no_pool(method):
+        raise AssertionError("pool forked for a narrow enumeration")
+
+    monkeypatch.setattr(matchturan.solver, "get_context", no_pool)
+    fam = GraphFamily([matching(3), complete(4)])
+    assert sum(1 for _ in enumerate_free(3, fam, workers=2)) == 4
 
 
 def test_enumerate_counts_against_labelled_dedup():
@@ -163,6 +234,25 @@ def test_ceiling_enforcement(monkeypatch):
     assert resolve_ceiling(sparse) == 5
     with pytest.raises(CeilingError):
         next(enumerate_free(6, sparse))
+
+
+@pytest.mark.parametrize("value", ["50", "0", "abc"])
+def test_invalid_env_ceiling_is_rejected(monkeypatch, capsys, value):
+    monkeypatch.setenv("MATCHTURAN_CEILING", value)
+    with pytest.raises(ValueError, match="MATCHTURAN_CEILING"):
+        resolve_ceiling(GraphFamily([complete(3)]))
+    with pytest.raises(ValueError, match="MATCHTURAN_CEILING"):
+        next(enumerate_free(3, GraphFamily([complete(3)])))
+    assert main(["ex", "--n", "4", "--forbid", "K3"]) == 2
+    assert "MATCHTURAN_CEILING" in capsys.readouterr().err
+
+
+def test_invalid_ceiling_argument_is_rejected(capsys):
+    for bad in (0, 11, 50):
+        with pytest.raises(ValueError, match="ceiling argument"):
+            resolve_ceiling(GraphFamily(), bad)
+    assert main(["ex", "--n", "4", "--forbid", "K3", "--ceiling", "0"]) == 2
+    assert "--ceiling" in capsys.readouterr().err
 
 
 def test_debug_pruning_cross_check(monkeypatch):
