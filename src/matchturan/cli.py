@@ -1,6 +1,11 @@
 """Command-line front end: exact Turán computations, cover families,
 candidate constructions, and theorem verification grids.
 
+The `verify` subcommands are built from `verifier.THEOREMS`: each entry's
+flags become its subparser, and a run parses the flag values by kind and
+calls the entry's `verifier.verify_*` function.  Only the commands that
+enumerate take `--ceiling` and `--workers`; only `verify` takes `--format`.
+
 Reports are JSON (with a fixed `payload` section that is byte-identical for
 identical configurations; wall time lives in a sidecar field) plus CSV
 summary tables for the verification grids.  Exit status is 0 iff every
@@ -17,6 +22,7 @@ import sys
 import time
 from pathlib import Path
 
+from . import verifier
 from .constructions import ConstructionSpec, realize
 from .containment import GraphFamily
 from .covering import covering_report, family_fp
@@ -33,18 +39,7 @@ from .graphs import (
     turan_graph,
 )
 from .solver import HARD_CEILING, ex_general, validate_ceiling
-from .verifier import (
-    CSV_COLUMNS,
-    TheoremReport,
-    verify_color_critical_components,
-    verify_cover_family_example,
-    verify_erdos_gallai,
-    verify_forest_theorem,
-    verify_gerbner_slope,
-    verify_ma_hou,
-    verify_main_theorem_exact,
-    verify_tutte_berge,
-)
+from .verifier import CSV_COLUMNS, GRAPH, INT, RANGE, THEOREMS, TheoremReport
 
 _NAMED = {
     "K": complete,
@@ -128,13 +123,12 @@ def _write_json(outdir: Path, name: str, envelope: dict) -> None:
     )
 
 
-def _write_csv(outdir: Path, name: str, reports: list[TheoremReport]) -> None:
+def _write_csv(outdir: Path, name: str, report: TheoremReport) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for report in reports:
-            writer.writerows(report.csv_rows())
+        writer.writerows(report.csv_rows())
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +211,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
     else:
         spec = ConstructionSpec(kind="turan", p=args.p, parts=args.k)
     t0 = time.perf_counter()
-    graph, details = realize(spec, ceiling=args.ceiling, workers=args.workers)
+    graph, details = realize(
+        spec, ceiling=getattr(args, "ceiling", None), workers=getattr(args, "workers", 1)
+    )
     elapsed = time.perf_counter() - t0
     print(to_graph6(graph))
     if "value" in details:
@@ -228,91 +224,46 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_verify(args: argparse.Namespace) -> list[TheoremReport]:
-    common = {"ceiling": args.ceiling, "workers": args.workers}
-    name = args.theorem
-    if name == "erdos-gallai":
-        pairs = [
-            (n, s)
-            for s in parse_range(args.s)
-            for n in parse_range(args.n)
-            if n >= 2 * s + 1
-        ]
-        return [verify_erdos_gallai(pairs, **common)]
-    if name == "ma-hou":
-        quads = [
-            (n, s, r, k)
-            for s in parse_range(args.s)
-            for r in parse_range(args.r)
-            for k in parse_range(args.k)
-            for n in parse_range(args.n)
-            if n >= 2 * s + 1 and 2 <= r <= k
-        ]
-        return [verify_ma_hou(quads, **common)]
-    if name == "main":
-        f = parse_graph(args.forbidden)
-        return [
-            verify_main_theorem_exact(
-                f, args.s_value, args.r_value, parse_range(args.n),
-                f_name=args.forbidden, **common,
-            )
-        ]
-    if name == "gerbner":
-        f = parse_graph(args.forbidden)
-        return [
-            verify_gerbner_slope(
-                f, args.s_value, parse_range(args.n), f_name=args.forbidden, **common
-            )
-        ]
-    if name == "forest":
-        f = parse_graph(args.forbidden)
-        return [
-            verify_forest_theorem(
-                f, args.s_value, parse_range(args.n), f_name=args.forbidden, **common
-            )
-        ]
-    if name == "tutte-berge":
-        return [verify_tutte_berge(max(parse_range(args.n)), **common)]
-    if name == "color-critical":
-        f = parse_graph(args.forbidden)
-        return [
-            verify_color_critical_components(
-                f, args.r_value, parse_range(args.p), f_name=args.forbidden, **common
-            )
-        ]
-    return [verify_cover_family_example(**common)]
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    reports = _run_verify(args)
-    elapsed = time.perf_counter() - t0
-    all_pass = all(r.passed for r in reports)
-    for report in reports:
-        for p in report.points:
-            params = ",".join(
-                f"{k}={v}" for k, v in p.items()
-                if isinstance(v, (int, str)) and k not in ("verdict", "uniqueness", "notes")
-            )
-            line = f"[{report.theorem}] {params}: {p.get('verdict', '?')}"
-            if "uniqueness" in p:
-                line += f" (uniqueness: {p['uniqueness']})"
-            print(line)
-        print(f"[{report.theorem}] summary: {json.dumps(report.summary, sort_keys=True)}")
+    theorem = THEOREMS[args.theorem]
+    values = []
+    kwargs = {"ceiling": args.ceiling, "workers": args.workers}
+    for _option, dest, kind in theorem.flags:
+        value = getattr(args, dest)
+        if kind == RANGE:
+            value = parse_range(value)
+        elif kind == GRAPH:
+            kwargs["f_name"] = value
+            value = parse_graph(value)
+        values.append(value)
+    # looked up at call time, so that a wrapper installed on the module
+    # attribute after import sees every run
+    run = getattr(verifier, theorem.function)
+    report = run(*theorem.expand(*values), **kwargs)
+    for p in report.points:
+        params = ",".join(
+            f"{k}={v}" for k, v in p.items()
+            if isinstance(v, (int, str)) and k not in ("verdict", "uniqueness", "notes")
+        )
+        line = f"[{report.theorem}] {params}: {p.get('verdict', '?')}"
+        if "uniqueness" in p:
+            line += f" (uniqueness: {p['uniqueness']})"
+        print(line)
+    print(f"[{report.theorem}] summary: {json.dumps(report.summary, sort_keys=True)}")
     if args.out:
         outdir = Path(args.out)
-        payload = {"reports": [r.to_payload() for r in reports]}
+        payload = {"reports": [report.to_payload()]}
         if args.format in ("json", "both"):
-            _write_json(outdir, args.theorem, _envelope("verify", payload, elapsed))
+            _write_json(outdir, args.theorem, _envelope("verify", payload, report.elapsed))
         if args.format in ("csv", "both"):
-            _write_csv(outdir, args.theorem, reports)
-    if not all_pass:
-        failures = [
-            {"theorem": r.theorem, "points": r.failures(), "status": r.summary.get("status")}
-            for r in reports
-            if not r.passed
-        ]
-        print(json.dumps({"failures": failures}, sort_keys=True))
+            _write_csv(outdir, args.theorem, report)
+    if not report.passed:
+        failure = {
+            "theorem": report.theorem,
+            "points": report.failures(),
+            "status": report.summary.get("status"),
+        }
+        print(json.dumps({"failures": [failure]}, sort_keys=True))
         return 1
     return 0
 
@@ -322,13 +273,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ceiling", type=int, default=None,
-                   help=f"enumeration ceiling (<= {HARD_CEILING}; default: adaptive)")
-    p.add_argument("--workers", type=int, default=1, help="worker processes")
+def _add_common(p: argparse.ArgumentParser, *, enumerates: bool = True) -> None:
+    if enumerates:
+        p.add_argument("--ceiling", type=int, default=None,
+                       help=f"enumeration ceiling (<= {HARD_CEILING}; default: adaptive)")
+        p.add_argument("--workers", type=int, default=1, help="worker processes")
     p.add_argument("--out", default=None, help="directory for report files")
-    p.add_argument("--format", choices=("json", "csv", "both"), default="both",
-                   help="report formats to write (with --out)")
+
+
+_FLAG_HELP = {RANGE: "range, e.g. 5..9", INT: None, GRAPH: "graph token, e.g. K4"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fam = sub.add_parser("family", help="cover family of a graph")
     p_fam.add_argument("--graph", required=True)
     p_fam.add_argument("--p", type=int, required=True)
-    _add_common(p_fam)
+    _add_common(p_fam, enumerates=False)
     p_fam.set_defaults(func=cmd_family)
 
     p_con = sub.add_parser("construct", help="candidate extremal constructions")
@@ -365,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     c_gns.set_defaults(func=cmd_construct)
     c_clq = con_sub.add_parser("clique", help="odd clique on 2s+1 vertices")
     c_clq.add_argument("--s", type=int, required=True)
-    _add_common(c_clq)
+    _add_common(c_clq, enumerates=False)
     c_clq.set_defaults(func=cmd_construct)
     c_for = con_sub.add_parser("forest-extremal", help="split construction plus odd cliques")
     c_for.add_argument("--n", type=int, required=True)
@@ -378,63 +331,21 @@ def build_parser() -> argparse.ArgumentParser:
     c_tur = con_sub.add_parser("turan", help="balanced complete multipartite graph")
     c_tur.add_argument("--p", type=int, required=True)
     c_tur.add_argument("--k", type=int, required=True, help="number of parts")
-    _add_common(c_tur)
+    _add_common(c_tur, enumerates=False)
     c_tur.set_defaults(func=cmd_construct)
 
     p_ver = sub.add_parser("verify", help="theorem verification grids")
     ver_sub = p_ver.add_subparsers(dest="theorem", required=True)
 
-    v_eg = ver_sub.add_parser("erdos-gallai")
-    v_eg.add_argument("--n", required=True, help="range, e.g. 5..9")
-    v_eg.add_argument("--s", required=True, help="range, e.g. 1..3")
-    _add_common(v_eg)
-    v_eg.set_defaults(func=cmd_verify)
-
-    v_mh = ver_sub.add_parser("ma-hou")
-    v_mh.add_argument("--n", required=True)
-    v_mh.add_argument("--s", required=True)
-    v_mh.add_argument("--r", required=True)
-    v_mh.add_argument("--k", required=True)
-    _add_common(v_mh)
-    v_mh.set_defaults(func=cmd_verify)
-
-    v_main = ver_sub.add_parser("main")
-    v_main.add_argument("--F", dest="forbidden", required=True)
-    v_main.add_argument("--s", dest="s_value", type=int, required=True)
-    v_main.add_argument("--r", dest="r_value", type=int, required=True)
-    v_main.add_argument("--n", required=True)
-    _add_common(v_main)
-    v_main.set_defaults(func=cmd_verify)
-
-    v_ger = ver_sub.add_parser("gerbner")
-    v_ger.add_argument("--F", dest="forbidden", required=True)
-    v_ger.add_argument("--s", dest="s_value", type=int, required=True)
-    v_ger.add_argument("--n", required=True)
-    _add_common(v_ger)
-    v_ger.set_defaults(func=cmd_verify)
-
-    v_for = ver_sub.add_parser("forest")
-    v_for.add_argument("--F", dest="forbidden", required=True)
-    v_for.add_argument("--s", dest="s_value", type=int, required=True)
-    v_for.add_argument("--n", required=True)
-    _add_common(v_for)
-    v_for.set_defaults(func=cmd_verify)
-
-    v_tb = ver_sub.add_parser("tutte-berge")
-    v_tb.add_argument("--n", required=True, help="range; the max is the sweep bound")
-    _add_common(v_tb)
-    v_tb.set_defaults(func=cmd_verify)
-
-    v_cc = ver_sub.add_parser("color-critical")
-    v_cc.add_argument("--F", dest="forbidden", required=True)
-    v_cc.add_argument("--r", dest="r_value", type=int, required=True)
-    v_cc.add_argument("--p", required=True, help="range of cover bounds")
-    _add_common(v_cc)
-    v_cc.set_defaults(func=cmd_verify)
-
-    v_pent = ver_sub.add_parser("pentagon", help="pentagon cover-family worked example")
-    _add_common(v_pent)
-    v_pent.set_defaults(func=cmd_verify)
+    for theorem in THEOREMS.values():
+        v = ver_sub.add_parser(theorem.command, help=theorem.help)
+        for option, dest, kind in theorem.flags:
+            v.add_argument(option, dest=dest, required=True,
+                           type=int if kind == INT else str, help=_FLAG_HELP[kind])
+        _add_common(v)
+        v.add_argument("--format", choices=("json", "csv", "both"), default="both",
+                       help="report formats to write (with --out)")
+        v.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -442,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.ceiling is not None:
+        if getattr(args, "ceiling", None) is not None:
             validate_ceiling(args.ceiling, "--ceiling")
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -162,18 +162,12 @@ class ConstructionSpec:
         if self.kind == "gns":
             if self.n is None or self.s is None:
                 raise ValueError("gns needs n and s")
-            if not 0 <= self.s <= self.n:
-                raise ValueError(f"need 0 <= s <= n, got s={self.s}, n={self.n}")
-            if self.objective == "kr_count" and self.r is None:
-                raise ValueError("kr_count objective needs r")
         elif self.kind == "clique":
             if self.s is None or self.s < 0:
                 raise ValueError("clique needs s >= 0")
         elif self.kind == "forest_extremal":
             if self.n is None or self.p is None or self.t is None:
                 raise ValueError("forest_extremal needs n, p, t")
-            if self.n < (self.p - 1) + self.t * (2 * self.p - 1):
-                raise ValueError("forest_extremal sizes inconsistent")
         elif self.kind == "turan":
             if self.p is None or self.parts is None:
                 raise ValueError("turan needs p and parts")
@@ -245,5 +239,7 @@ def realize(
             spec.n, spec.p, spec.t, spec.family(), ceiling=ceiling, workers=workers
         )
         return g, {"edges": g.edge_count()}
-    g = turan_graph(spec.p, spec.parts)
-    return g, {"edges": g.edge_count()}
+    if spec.kind == "turan":
+        g = turan_graph(spec.p, spec.parts)
+        return g, {"edges": g.edge_count()}
+    raise ValueError(f"unknown construction kind {spec.kind!r}")

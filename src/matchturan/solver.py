@@ -77,8 +77,9 @@ def resolve_ceiling(family: GraphFamily, ceiling: int | None = None) -> int:
     return 9
 
 
-def _is_plain_matching(m: Graph) -> bool:
-    return m.edge_count() > 0 and all(row.bit_count() == 1 for row in m.adj)
+def _matching_size(m: Graph) -> int:
+    """k when m is the plain matching M_k (k >= 1), else 0."""
+    return m.edge_count() if all(row.bit_count() == 1 for row in m.adj) else 0
 
 
 def _has_matching(adj: tuple[int, ...], avail: int, k: int) -> bool:
@@ -109,15 +110,14 @@ def _has_matching(adj: tuple[int, ...], avail: int, k: int) -> bool:
 
 
 def _edge_creates_member(
-    child: Graph, members: list[Graph], u: int, v: int
+    child: Graph, members: list[tuple[Graph, int]], u: int, v: int
 ) -> bool:
-    for m in members:
-        if m.n > child.n:
-            continue
-        if _is_plain_matching(m):
+    # members: (graph, its _matching_size)
+    for m, k in members:
+        if k:
             # a new copy must use edge uv; the rest is a matching avoiding u, v
             rest = child.vertex_mask() & ~(1 << u) & ~(1 << v)
-            if _has_matching(child.adj, rest, m.edge_count() - 1):
+            if _has_matching(child.adj, rest, k - 1):
                 return True
         elif contains_subgraph_using_edge(child, m, u, v):
             return True
@@ -194,7 +194,7 @@ def _top_class(
 
 
 def _expand_parents(
-    n: int, parents: list[Labelled], member_rows: list[tuple[int, ...]]
+    n: int, parents: list[Labelled], member_rows: list[tuple[tuple[int, ...], int]]
 ) -> list[Labelled]:
     """Canonical augmentation (McKay 1998): the children of `parents` that
     are accepted, one per isomorphism class.  A child C = P + uv is
@@ -203,7 +203,7 @@ def _expand_parents(
     canonical image.  Then C is accepted only from the class representative
     of C - m(C), and only from one Aut(P)-orbit of non-edges, which the
     parent's generators prune to a single representative."""
-    members = [_raw(len(rows), rows) for rows in member_rows]
+    members = [(_raw(len(rows), rows), k) for rows, k in member_rows]
     # MATCHTURAN_DEBUG_PRUNING=1 cross-checks the incremental new-edge test
     # against a full containment scan on every child (slow, exact)
     debug = os.environ.get("MATCHTURAN_DEBUG_PRUNING") == "1"
@@ -227,7 +227,7 @@ def _expand_parents(
                 child = _raw(n, child_rows)
                 created = bool(members) and _edge_creates_member(child, members, u, v)
                 if debug:
-                    full = any(contains_subgraph(child, m) for m in members)
+                    full = any(contains_subgraph(child, m) for m, _ in members)
                     assert created == full, (
                         f"incremental pruning diverged on edge ({u},{v})"
                     )
@@ -273,7 +273,7 @@ def enumerate_free(
     reduced = minimalize(family)
     if any(m.edge_count() == 0 and m.n <= n for m in reduced):
         return  # an edgeless member embeds into every n-vertex graph
-    member_rows = [m.adj for m in reduced if m.n <= n]
+    member_rows = [(m.adj, _matching_size(m)) for m in reduced if m.n <= n]
 
     pool = None
     try:

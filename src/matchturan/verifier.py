@@ -9,12 +9,19 @@ balanced-forest shape) are computed, never assumed.
 Asymptotic statements get a small-n policy: if every point from some n0
 onward passes, earlier failing points are verdicted "small-n-exception"
 rather than "fail", and the report records n0.
+
+One theorem table, `THEOREMS` (see `Theorem`), drives both the replays and
+the `matchturan verify` subcommands; one runner, `_run`, times every replay,
+short-circuits an unmet or degenerate gate, applies the small-n policy and
+summarizes.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import Callable
 
 from .constructions import build_forest_extremal, build_g_n_s
 from .containment import GraphFamily
@@ -65,6 +72,7 @@ class TheoremReport:
     points: list[dict] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     elapsed: float = 0.0
+    params: tuple[str, ...] = ()  # the point keys that are parameters
 
     @property
     def passed(self) -> bool:
@@ -88,9 +96,7 @@ class TheoremReport:
     def csv_rows(self) -> list[list[str]]:
         rows = []
         for p in self.points:
-            params = ",".join(
-                f"{k}={p[k]}" for k in sorted(p) if k not in _NON_PARAM_KEYS
-            )
+            params = ",".join(f"{k}={p[k]}" for k in sorted(self.params))
             rows.append(
                 [
                     self.theorem,
@@ -106,48 +112,23 @@ class TheoremReport:
         return rows
 
 
-_NON_PARAM_KEYS = {
-    "brute",
-    "formula",
-    "verdict",
-    "uniqueness",
-    "witnesses",
-    "predicted_witnesses",
-    "notes",
-    "difference",
-    "clique_candidate",
-    "clique_candidate_value",
-    "split_candidate_value",
-    "construction_value",
-    "construction_gap",
-    "classes",
-    "mismatches",
-    "family",
-    "family_chromatic_min",
-    "chromatic_ok",
-    "fallback",
-    "turan_value",
-}
-
-
-def _summary(points: list[dict], extra: dict | None = None) -> dict:
-    verdicts = [p.get("verdict") for p in points]
-    uniq = [p.get("uniqueness") for p in points if "uniqueness" in p]
-    bad = [v for v in verdicts + uniq if v == FAIL]
+def _summary(points: list[dict], extra: dict) -> dict:
+    """The verdict policy: a report fails when any point's verdict or
+    uniqueness fails, unless `extra` sets its own "status"."""
+    failed = sum(1 for p in points if FAIL in (p.get("verdict"), p.get("uniqueness")))
     out = {
-        "status": FAIL if bad else PASS,
+        "status": FAIL if failed else PASS,
         "points": len(points),
-        "failed": sum(1 for p in points if FAIL in (p.get("verdict"), p.get("uniqueness"))),
+        "failed": failed,
         "exceptions": sum(
             1 for p in points if SMALL_N in (p.get("verdict"), p.get("uniqueness"))
         ),
     }
-    if extra:
-        out.update(extra)
+    out.update(extra)
     return out
 
 
-def _apply_small_n_policy(points: list[dict], n_key: str = "n") -> int | None:
+def _apply_small_n_policy(points: list[dict]) -> int | None:
     """Relabel failing points below the first fully-passing suffix as
     small-n exceptions; returns the suffix start (None when no suffix
     passes).  Points must be ordered by increasing n."""
@@ -160,13 +141,13 @@ def _apply_small_n_policy(points: list[dict], n_key: str = "n") -> int | None:
     first = None
     for i in range(len(points), 0, -1):
         if full_pass(points[i - 1]):
-            first = points[i - 1][n_key]
+            first = points[i - 1]["n"]
         else:
             break
     if first is None:
         return None
     for p in points:
-        if p[n_key] < first:
+        if p["n"] < first:
             if p.get("verdict") == FAIL:
                 p["verdict"] = SMALL_N
             if p.get("uniqueness") == FAIL:
@@ -178,9 +159,99 @@ def _witness_set(graphs: list[Graph]) -> list[str]:
     return sorted({to_graph6(canonical_form(g).graph) for g in graphs})
 
 
+def _finite(x: int | float) -> int | str:
+    return x if x != float("inf") else "inf"
+
+
+# ---------------------------------------------------------------------------
+# the theorem table and its runner
+# ---------------------------------------------------------------------------
+
+# kinds of `verify` flag: an inclusive range "a..b" (or one integer), an
+# integer, or a graph token (whose text also names F in the report)
+RANGE, INT, GRAPH = "range", "int", "graph"
+F_FLAG = ("--F", "forbidden", GRAPH)
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One entry of the theorem table: the `verify` subcommand and its
+    flags, how flag values expand into the `verify_*` call, the point keys
+    that are parameters, and the theorem's own pieces.
+
+    A point starts as a grid row's leading values under the keys in
+    `params`; `score(ctx, point, *row)` adds both sides and the verdict
+    (a row may carry values beyond the parameters).  `ctx` holds
+    the arguments of the `verify_*` call plus `opts` (ceiling and workers).
+    `gate(ctx)`, when given, computes the hypothesis and the values every
+    point shares (stored on `ctx`); it returns the gate status (None when
+    met) and summary fields.  `finish(ctx, points)` returns further summary
+    fields.  A "status" among the summary fields overrides the status the
+    verdicts give."""
+
+    command: str  # `matchturan verify <command>`
+    name: str  # the report's theorem name
+    function: str  # the public verify_* function
+    params: tuple[str, ...]
+    score: Callable[..., None]
+    flags: tuple[tuple[str, str, str], ...] = ()  # (option, dest, kind)
+    # flag values, in flag order -> positional arguments of `function`
+    expand: Callable[..., tuple] = lambda *values: values
+    gate: Callable[[SimpleNamespace], tuple[str | None, dict]] | None = None
+    finish: Callable[[SimpleNamespace, list[dict]], dict] | None = None
+    small_n: bool = False
+    help: str = ""
+
+
+def _run(
+    command: str, rows: list[tuple], *, ceiling: int | None, workers: int, **ctx
+) -> TheoremReport:
+    """Score `rows` (in the order given) under `command`'s theorem."""
+    theorem = THEOREMS[command]
+    t0 = time.perf_counter()
+    ctx = SimpleNamespace(opts={"ceiling": ceiling, "workers": workers}, **ctx)
+    points = [dict(zip(theorem.params, row)) for row in rows]
+    status, extra = theorem.gate(ctx) if theorem.gate else (None, {})
+    if status is not None:
+        for point in points:
+            point["verdict"] = status
+        extra = {"status": status, **extra}
+    else:
+        for point, row in zip(points, rows):
+            theorem.score(ctx, point, *row)
+        if theorem.finish:
+            extra.update(theorem.finish(ctx, points))
+        if theorem.small_n:
+            first = _apply_small_n_policy(points)
+            extra["first_fully_passing_n"] = first
+            if first is None:
+                extra["status"] = FAIL
+    report = TheoremReport(theorem.name, points, _summary(points, extra), params=theorem.params)
+    report.elapsed = time.perf_counter() - t0
+    return report
+
+
 # ---------------------------------------------------------------------------
 # classical matching-only bound
 # ---------------------------------------------------------------------------
+
+
+def _erdos_gallai_point(ctx: SimpleNamespace, point: dict, n: int, s: int) -> None:
+    if n < 2 * s + 1:
+        raise ValueError(f"need n >= 2s+1, got n={n}, s={s}")
+    fam = GraphFamily([matching(s + 1)], label=f"{{M{s + 1}}}")
+    brute = ex_general(n, 2, fam, **ctx.opts)
+    clique = complete(2 * s + 1)
+    split = build_g_n_s(n, s, GraphFamily([complete(s + 1)]), "edges", **ctx.opts)
+    formula = max(clique.edge_count(), split.value)
+    point.update(
+        brute=brute.value,
+        formula=formula,
+        clique_candidate_value=clique.edge_count(),
+        split_candidate_value=split.value,
+        verdict=PASS if brute.value == formula else FAIL,
+        witnesses=list(brute.witnesses),
+    )
 
 
 def verify_erdos_gallai(
@@ -188,38 +259,40 @@ def verify_erdos_gallai(
 ) -> TheoremReport:
     """Max edges under a matching bound: brute force against the better of
     the odd clique and the split construction, exactly, per (n, s)."""
-    t0 = time.perf_counter()
-    report = TheoremReport("erdos-gallai")
-    for n, s in pairs:
-        if n < 2 * s + 1:
-            raise ValueError(f"need n >= 2s+1, got n={n}, s={s}")
-        fam = GraphFamily([matching(s + 1)], label=f"{{M{s + 1}}}")
-        brute = ex_general(n, 2, fam, ceiling=ceiling, workers=workers)
-        clique = complete(2 * s + 1)
-        split = build_g_n_s(
-            n, s, GraphFamily([complete(s + 1)]), "edges", ceiling=ceiling, workers=workers
-        )
-        formula = max(clique.edge_count(), split.value)
-        report.points.append(
-            {
-                "n": n,
-                "s": s,
-                "brute": brute.value,
-                "formula": formula,
-                "clique_candidate_value": clique.edge_count(),
-                "split_candidate_value": split.value,
-                "verdict": PASS if brute.value == formula else FAIL,
-                "witnesses": list(brute.witnesses),
-            }
-        )
-    report.summary = _summary(report.points)
-    report.elapsed = time.perf_counter() - t0
-    return report
+    return _run("erdos-gallai", pairs, ceiling=ceiling, workers=workers)
 
 
 # ---------------------------------------------------------------------------
 # matching bound plus a forbidden clique (generalized counting)
 # ---------------------------------------------------------------------------
+
+
+def _ma_hou_point(ctx: SimpleNamespace, point: dict, n: int, s: int, r: int, k: int) -> None:
+    if n < 2 * s + 1:
+        raise ValueError(f"need n >= 2s+1, got n={n}, s={s}")
+    if not 2 <= r <= k:
+        raise ValueError(f"need k >= r >= 2, got r={r}, k={k}")
+    fam = GraphFamily(
+        [matching(s + 1), complete(k + 1)], label=f"{{M{s + 1},K{k + 1}}}"
+    )
+    brute = ex_general(n, r, fam, **ctx.opts)
+    clique_cand = turan_graph(2 * s + 1, min(k, 2 * s + 1))
+    clique_val = count_cliques(clique_cand, r)
+    split = build_g_n_s(n, s, GraphFamily([complete(k)]), "kr_count", r, **ctx.opts)
+    formula = max(clique_val, split.value)
+    note = ""
+    if k < 2 * s + 1:
+        note = f"odd clique K_{2 * s + 1} contains K_{k + 1}; clique candidate is T_{k}({2 * s + 1})"
+    point.update(
+        brute=brute.value,
+        formula=formula,
+        clique_candidate=to_graph6(canonical_form(clique_cand).graph),
+        clique_candidate_value=clique_val,
+        split_candidate_value=split.value,
+        verdict=PASS if brute.value == formula else FAIL,
+        witnesses=list(brute.witnesses),
+        notes=note,
+    )
 
 
 def verify_ma_hou(
@@ -234,56 +307,49 @@ def verify_ma_hou(
     it equals K_{2s+1} exactly when k >= 2s+1; for smaller k the plain odd
     clique would itself contain K_{k+1} and is inadmissible, so comparing
     against it would overshoot (see the per-point note)."""
-    t0 = time.perf_counter()
-    report = TheoremReport("ma-hou")
-    for n, s, r, k in quads:
-        if n < 2 * s + 1:
-            raise ValueError(f"need n >= 2s+1, got n={n}, s={s}")
-        if not 2 <= r <= k:
-            raise ValueError(f"need k >= r >= 2, got r={r}, k={k}")
-        fam = GraphFamily(
-            [matching(s + 1), complete(k + 1)], label=f"{{M{s + 1},K{k + 1}}}"
-        )
-        brute = ex_general(n, r, fam, ceiling=ceiling, workers=workers)
-        clique_cand = turan_graph(2 * s + 1, min(k, 2 * s + 1))
-        clique_val = count_cliques(clique_cand, r)
-        split = build_g_n_s(
-            n,
-            s,
-            GraphFamily([complete(k)]),
-            "kr_count",
-            r,
-            ceiling=ceiling,
-            workers=workers,
-        )
-        formula = max(clique_val, split.value)
-        note = ""
-        if k < 2 * s + 1:
-            note = f"odd clique K_{2 * s + 1} contains K_{k + 1}; clique candidate is T_{k}({2 * s + 1})"
-        report.points.append(
-            {
-                "n": n,
-                "s": s,
-                "r": r,
-                "k": k,
-                "brute": brute.value,
-                "formula": formula,
-                "clique_candidate": to_graph6(canonical_form(clique_cand).graph),
-                "clique_candidate_value": clique_val,
-                "split_candidate_value": split.value,
-                "verdict": PASS if brute.value == formula else FAIL,
-                "witnesses": list(brute.witnesses),
-                "notes": note,
-            }
-        )
-    report.summary = _summary(report.points)
-    report.elapsed = time.perf_counter() - t0
-    return report
+    return _run("ma-hou", quads, ceiling=ceiling, workers=workers)
 
 
 # ---------------------------------------------------------------------------
 # the exact split formula with uniqueness
 # ---------------------------------------------------------------------------
+
+
+def _main_gate(ctx: SimpleNamespace) -> tuple[str | None, dict]:
+    pf = p_of_f(ctx.f)
+    profile = ex_profile(ctx.f, ctx.r, ctx.s, **ctx.opts)
+    gate = {
+        "p_of_f": _finite(pf),
+        "profile": [list(pt) for pt in profile.points],
+        "t": profile.t,
+    }
+    if not (pf >= ctx.s + 1 and profile.t == ctx.s):
+        return HYPOTHESIS_UNMET, {"gate": gate}
+    ctx.fam = family_fp(ctx.f, ctx.s)
+    ctx.ex_lower = ex_general(ctx.s, ctx.r - 1, ctx.fam, **ctx.opts).value
+    ctx.ex_inner = ex_general(ctx.s, ctx.r, ctx.fam, **ctx.opts).value
+    return None, {"gate": gate, "ex_slope": ctx.ex_lower, "ex_constant": ctx.ex_inner}
+
+
+def _main_point(ctx: SimpleNamespace, point: dict, f_name: str, n: int, s: int, r: int) -> None:
+    forb = GraphFamily([matching(s + 1), ctx.f], label=f"{{M{s + 1},{f_name}}}")
+    brute = ex_general(n, r, forb, **ctx.opts)
+    formula = ctx.ex_lower * (n - s) + ctx.ex_inner
+    build = build_g_n_s(n, s, ctx.fam, "kr_count", r, **ctx.opts)
+    predicted = _witness_set(build.witness_graphs())
+    gap = build.value != formula
+    point.update(
+        brute=brute.value,
+        formula=formula,
+        construction_value=build.value,
+        construction_gap=gap,
+        verdict=PASS if brute.value == formula else FAIL,
+        witnesses=list(brute.witnesses),
+        predicted_witnesses=predicted,
+        uniqueness=PASS if list(brute.witnesses) == predicted else FAIL,
+    )
+    if gap:
+        point["notes"] = "no single filling attains both profile maxima"
 
 
 def verify_main_theorem_exact(
@@ -303,70 +369,52 @@ def verify_main_theorem_exact(
     The hypothesis (independent-cover size > s, profile argmax at s) is
     computed first; when unmet every point is skipped with verdict
     hypothesis-unmet."""
-    t0 = time.perf_counter()
-    report = TheoremReport("main-exact")
-    pf = p_of_f(f)
-    profile = ex_profile(f, r, s, ceiling=ceiling, workers=workers)
-    gate = {
-        "p_of_f": pf if pf != float("inf") else "inf",
-        "profile": [list(pt) for pt in profile.points],
-        "t": profile.t,
-    }
-    if not (pf >= s + 1 and profile.t == s):
-        for n in n_range:
-            report.points.append(
-                {"F": f_name, "n": n, "s": s, "r": r, "verdict": HYPOTHESIS_UNMET}
-            )
-        report.summary = _summary(report.points, {"status": HYPOTHESIS_UNMET, "gate": gate})
-        report.elapsed = time.perf_counter() - t0
-        return report
-
-    fam_s = family_fp(f, s)
-    ex_lower = ex_general(s, r - 1, fam_s, ceiling=ceiling, workers=workers).value
-    ex_inner = ex_general(s, r, fam_s, ceiling=ceiling, workers=workers).value
-    for n in sorted(n_range):
-        forb = GraphFamily([matching(s + 1), f], label=f"{{M{s + 1},{f_name}}}")
-        brute = ex_general(n, r, forb, ceiling=ceiling, workers=workers)
-        formula = ex_lower * (n - s) + ex_inner
-        build = build_g_n_s(n, s, fam_s, "kr_count", r, ceiling=ceiling, workers=workers)
-        predicted = _witness_set(build.witness_graphs())
-        gap = build.value != formula
-        point = {
-            "F": f_name,
-            "n": n,
-            "s": s,
-            "r": r,
-            "brute": brute.value,
-            "formula": formula,
-            "construction_value": build.value,
-            "construction_gap": gap,
-            "verdict": PASS if brute.value == formula else FAIL,
-            "witnesses": list(brute.witnesses),
-            "predicted_witnesses": predicted,
-            "uniqueness": PASS if list(brute.witnesses) == predicted else FAIL,
-        }
-        if gap:
-            point["notes"] = "no single filling attains both profile maxima"
-        report.points.append(point)
-    first = _apply_small_n_policy(report.points)
-    report.summary = _summary(
-        report.points,
-        {
-            "gate": gate,
-            "ex_slope": ex_lower,
-            "ex_constant": ex_inner,
-            "first_fully_passing_n": first,
-        },
-    )
-    if first is None:
-        report.summary["status"] = FAIL
-    report.elapsed = time.perf_counter() - t0
-    return report
+    rows = [(f_name, n, s, r) for n in sorted(n_range)]
+    return _run("main", rows, f=f, s=s, r=r, ceiling=ceiling, workers=workers)
 
 
 # ---------------------------------------------------------------------------
 # slope of the bipartite case
 # ---------------------------------------------------------------------------
+
+
+def _gerbner_gate(ctx: SimpleNamespace) -> tuple[str | None, dict]:
+    ctx.pf = p_of_f(ctx.f)
+    summary = {"p_of_f": _finite(ctx.pf)}
+    if ctx.f.edge_count() <= 1:
+        return DEGENERATE, summary
+    if ctx.pf > ctx.s:  # also when F is not bipartite (p = inf)
+        return HYPOTHESIS_UNMET, summary
+    return None, summary
+
+
+def _gerbner_point(ctx: SimpleNamespace, point: dict, f_name: str, n: int, s: int) -> None:
+    forb = GraphFamily([matching(s + 1), ctx.f], label=f"{{M{s + 1},{f_name}}}")
+    brute = ex_general(n, 2, forb, **ctx.opts)
+    point.update(
+        brute=brute.value,
+        formula=f"{ctx.pf - 1}*n+C",
+        difference=brute.value - (ctx.pf - 1) * n,
+        witnesses=list(brute.witnesses),
+    )
+
+
+def _gerbner_finish(ctx: SimpleNamespace, points: list[dict]) -> dict:
+    # the report passes only when the difference is constant over the whole
+    # range; the longest constant suffix is recorded either way
+    diffs = [p["difference"] for p in points]
+    constant = len(set(diffs)) <= 1
+    suffix_start = len(diffs) - 1
+    while suffix_start > 0 and diffs[suffix_start - 1] == diffs[-1]:
+        suffix_start -= 1
+    for i, p in enumerate(points):
+        p["verdict"] = PASS if constant or i >= suffix_start else FAIL
+    return {
+        "differences": diffs,
+        "constant": constant,
+        "constant_from_n": points[suffix_start]["n"] if points else None,
+        "status": PASS if constant else FAIL,
+    }
 
 
 def verify_gerbner_slope(
@@ -382,55 +430,8 @@ def verify_gerbner_slope(
     brute ex(n, {M_{s+1}, F}) - (p-1)·n is constant across the tested range
     (the additive term of the asymptotic statement, observed not proven);
     the longest constant suffix is recorded either way."""
-    t0 = time.perf_counter()
-    report = TheoremReport("gerbner-slope")
-    pf = p_of_f(f)
-    if pf == float("inf") or pf > s or f.edge_count() <= 1:
-        status = DEGENERATE if f.edge_count() <= 1 else HYPOTHESIS_UNMET
-        for n in n_range:
-            report.points.append({"F": f_name, "n": n, "s": s, "verdict": status})
-        report.summary = _summary(
-            report.points,
-            {"status": status, "p_of_f": pf if pf != float("inf") else "inf"},
-        )
-        report.elapsed = time.perf_counter() - t0
-        return report
-    diffs = []
-    for n in sorted(n_range):
-        forb = GraphFamily([matching(s + 1), f], label=f"{{M{s + 1},{f_name}}}")
-        brute = ex_general(n, 2, forb, ceiling=ceiling, workers=workers)
-        diff = brute.value - (pf - 1) * n
-        diffs.append(diff)
-        report.points.append(
-            {
-                "F": f_name,
-                "n": n,
-                "s": s,
-                "brute": brute.value,
-                "formula": f"{pf - 1}*n+C",
-                "difference": diff,
-                "witnesses": list(brute.witnesses),
-            }
-        )
-    constant = len(set(diffs)) <= 1
-    # longest constant suffix, for the eventual-constancy record
-    suffix_start = len(diffs) - 1
-    while suffix_start > 0 and diffs[suffix_start - 1] == diffs[-1]:
-        suffix_start -= 1
-    for i, p in enumerate(report.points):
-        p["verdict"] = PASS if constant or i >= suffix_start else FAIL
-    report.summary = _summary(
-        report.points,
-        {
-            "p_of_f": pf,
-            "differences": diffs,
-            "constant": constant,
-            "constant_from_n": report.points[suffix_start]["n"] if report.points else None,
-        },
-    )
-    report.summary["status"] = PASS if constant else FAIL
-    report.elapsed = time.perf_counter() - t0
-    return report
+    rows = [(f_name, n, s) for n in sorted(n_range)]
+    return _run("gerbner", rows, f=f, s=s, ceiling=ceiling, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -438,29 +439,53 @@ def verify_gerbner_slope(
 # ---------------------------------------------------------------------------
 
 
-def _balanced_forest_shape(f: Graph) -> tuple[bool, int]:
-    """(is a balanced forest with at least one edge, component count)."""
-    comps = connected_components(f)
-    if f.n == 0 or f.edge_count() == 0:
-        return False, len(comps)
-    for comp in comps:
-        members = [v for v in range(f.n) if comp >> v & 1]
-        edges = sum((f.adj[v] & comp).bit_count() for v in members) // 2
-        if edges != len(members) - 1:
-            return False, len(comps)  # component has a cycle
-        # 2-colour the tree and compare class sizes
-        color = {members[0]: 0}
-        stack = [members[0]]
-        while stack:
-            v = stack.pop()
-            for u in members:
-                if f.adj[v] >> u & 1 and u not in color:
-                    color[u] = color[v] ^ 1
-                    stack.append(u)
-        sides = [sum(1 for c in color.values() if c == b) for b in (0, 1)]
-        if sides[0] != sides[1]:
-            return False, len(comps)
-    return True, len(comps)
+def _forest_gate(ctx: SimpleNamespace) -> tuple[str | None, dict]:
+    f, s = ctx.f, ctx.s
+    edges = f.edge_count()
+    ncomps = len(connected_components(f))
+    # a forest whose components have colour classes of equal size
+    balanced = edges > 0 and edges == f.n - ncomps and 2 * p_of_f(f) == f.n
+    p = ctx.p = f.n // 2
+    if not balanced or p > s:
+        return HYPOTHESIS_UNMET, {"balanced_forest": balanced}
+    ctx.fam = family_fp(f, p - 1)
+    ctx.ex_fill = ex_general(p - 1, 2, ctx.fam, **ctx.opts).value
+    has_pm = matching_number(f) == p
+    expected_fill = (p - 1) * (p - 2) // 2 if has_pm else 0
+    ctx.t_max = (s - p + 1) // (p - 1) if ncomps == 1 and p >= 2 else 0
+    summary = {
+        "p": p,
+        "components": ncomps,
+        "has_perfect_matching": has_pm,
+        "filling_value": ctx.ex_fill,
+        "filling_expected": expected_fill,
+        "remark_verdict": PASS if ctx.ex_fill == expected_fill else FAIL,
+    }
+    if ctx.ex_fill != expected_fill:
+        summary["status"] = FAIL
+    return None, summary
+
+
+def _forest_point(ctx: SimpleNamespace, point: dict, f_name: str, n: int, s: int) -> None:
+    p = ctx.p
+    forb = GraphFamily([ctx.f, matching(s + 1)], label=f"{{{f_name},M{s + 1}}}")
+    brute = ex_general(n, 2, forb, **ctx.opts)
+    formula = (p - 1) * (n - p + 1) + ctx.ex_fill
+    predicted = _witness_set(
+        [
+            build_forest_extremal(n, p, t, ctx.fam, **ctx.opts)
+            for t in range(ctx.t_max + 1)
+            if n - t * (2 * p - 1) >= p - 1
+        ]
+    )
+    point.update(
+        brute=brute.value,
+        formula=formula,
+        verdict=PASS if brute.value == formula else FAIL,
+        witnesses=list(brute.witnesses),
+        predicted_witnesses=predicted,
+        uniqueness=PASS if list(brute.witnesses) == predicted else FAIL,
+    )
 
 
 def verify_forest_theorem(
@@ -476,75 +501,30 @@ def verify_forest_theorem(
     balanced forest F on 2p vertices (p <= s), the perfect-matching identity
     for the additive term, and the predicted extremal set (split construction
     plus, when F is a tree, disjoint odd cliques)."""
-    t0 = time.perf_counter()
-    report = TheoremReport("balanced-forest")
-    balanced, ncomps = _balanced_forest_shape(f)
-    p = f.n // 2
-    if not balanced or f.n % 2 or p > s:
-        for n in n_range:
-            report.points.append(
-                {"F": f_name, "n": n, "s": s, "verdict": HYPOTHESIS_UNMET}
-            )
-        report.summary = _summary(
-            report.points, {"status": HYPOTHESIS_UNMET, "balanced_forest": balanced}
-        )
-        report.elapsed = time.perf_counter() - t0
-        return report
-
-    fam = family_fp(f, p - 1)
-    ex_fill = ex_general(p - 1, 2, fam, ceiling=ceiling, workers=workers).value
-    has_pm = matching_number(f) == p
-    expected_fill = (p - 1) * (p - 2) // 2 if has_pm else 0
-    remark_ok = ex_fill == expected_fill
-
-    is_tree = ncomps == 1
-    t_max = (s - p + 1) // (p - 1) if is_tree and p >= 2 else 0
-    for n in sorted(n_range):
-        forb = GraphFamily([f, matching(s + 1)], label=f"{{{f_name},M{s + 1}}}")
-        brute = ex_general(n, 2, forb, ceiling=ceiling, workers=workers)
-        formula = (p - 1) * (n - p + 1) + ex_fill
-        predicted = _witness_set(
-            [
-                build_forest_extremal(n, p, t, fam, ceiling=ceiling, workers=workers)
-                for t in range(t_max + 1)
-                if n - t * (2 * p - 1) >= p - 1
-            ]
-        )
-        report.points.append(
-            {
-                "F": f_name,
-                "n": n,
-                "s": s,
-                "brute": brute.value,
-                "formula": formula,
-                "verdict": PASS if brute.value == formula else FAIL,
-                "witnesses": list(brute.witnesses),
-                "predicted_witnesses": predicted,
-                "uniqueness": PASS if list(brute.witnesses) == predicted else FAIL,
-            }
-        )
-    first = _apply_small_n_policy(report.points)
-    report.summary = _summary(
-        report.points,
-        {
-            "p": p,
-            "components": ncomps,
-            "has_perfect_matching": has_pm,
-            "filling_value": ex_fill,
-            "filling_expected": expected_fill,
-            "remark_verdict": PASS if remark_ok else FAIL,
-            "first_fully_passing_n": first,
-        },
-    )
-    if first is None or not remark_ok:
-        report.summary["status"] = FAIL
-    report.elapsed = time.perf_counter() - t0
-    return report
+    rows = [(f_name, n, s) for n in sorted(n_range)]
+    return _run("forest", rows, f=f, s=s, ceiling=ceiling, workers=workers)
 
 
 # ---------------------------------------------------------------------------
 # matching duality
 # ---------------------------------------------------------------------------
+
+
+def _tutte_berge_point(ctx: SimpleNamespace, point: dict, n: int) -> None:
+    mismatches = []
+    classes = 0
+    for g in enumerate_free(n, GraphFamily(), ceiling=max(n, 7), workers=ctx.opts["workers"]):
+        classes += 1
+        nu = matching_number(g)
+        cert = tutte_berge_certificate(g)
+        if cert.value != nu:
+            mismatches.append(to_graph6(g))
+    point.update(
+        classes=classes,
+        mismatches=len(mismatches),
+        verdict=PASS if not mismatches else FAIL,
+        witnesses=mismatches,
+    )
 
 
 def verify_tutte_berge(
@@ -555,34 +535,43 @@ def verify_tutte_berge(
     independently)."""
     if n_max > 7:
         raise CeilingError(f"certificate sweep capped at n=7, got {n_max}")
-    t0 = time.perf_counter()
-    report = TheoremReport("tutte-berge")
-    for n in range(1, n_max + 1):
-        mismatches = []
-        classes = 0
-        for g in enumerate_free(n, GraphFamily(), ceiling=max(n, 7), workers=workers):
-            classes += 1
-            nu = matching_number(g)
-            cert = tutte_berge_certificate(g)
-            if cert.value != nu:
-                mismatches.append(to_graph6(g))
-        report.points.append(
-            {
-                "n": n,
-                "classes": classes,
-                "mismatches": len(mismatches),
-                "verdict": PASS if not mismatches else FAIL,
-                "witnesses": mismatches,
-            }
-        )
-    report.summary = _summary(report.points)
-    report.elapsed = time.perf_counter() - t0
-    return report
+    rows = [(n,) for n in range(1, n_max + 1)]
+    return _run("tutte-berge", rows, ceiling=ceiling, workers=workers)
 
 
 # ---------------------------------------------------------------------------
 # color-critical component identities
 # ---------------------------------------------------------------------------
+
+
+def _color_critical_gate(ctx: SimpleNamespace) -> tuple[str | None, dict]:
+    chi = chromatic_number(ctx.f)
+    ctx.k = chi - 1
+    critical = is_color_critical(ctx.f)
+    if not critical or chi < max(ctx.r + 1, 4):
+        return HYPOTHESIS_UNMET, {"chi": chi, "color_critical": critical}
+    return None, {"chi": chi, "k": ctx.k}
+
+
+def _color_critical_point(ctx: SimpleNamespace, point: dict, f_name: str, p: int, r: int) -> None:
+    k = ctx.k
+    rep = covering_report(ctx.f, p)
+    fam = rep.family
+    chi_min = min(chromatic_number(m) for m in fam)
+    chi_ok = chi_min >= k
+    exval = ex_general(p, r - 1, fam, **ctx.opts).value
+    tval = count_cliques(turan_graph(p, min(k - 1, p)), r - 1)
+    point.update(
+        family=[to_graph6(m) for m in fam],
+        family_chromatic_min=chi_min,
+        chromatic_ok=chi_ok,
+        fallback=rep.fallback_used,
+        brute=exval,
+        formula=tval,
+        verdict=PASS if exval == tval and chi_ok else FAIL,
+    )
+    if rep.fallback_used:
+        point["notes"] = "no covering at this bound; family is the fallback clique"
 
 
 def verify_color_critical_components(
@@ -599,45 +588,8 @@ def verify_color_critical_components(
     ex(p, K_{r-1}, family) equals the K_{r-1} count of the (k-1)-partite
     Turán graph on p vertices.  The full asymptotic statement needs
     constants far beyond desk scale and is out of scope."""
-    t0 = time.perf_counter()
-    report = TheoremReport("color-critical-components")
-    chi = chromatic_number(f)
-    k = chi - 1
-    critical = is_color_critical(f)
-    if not critical or chi < max(r + 1, 4):
-        for p in p_range:
-            report.points.append({"F": f_name, "p": p, "r": r, "verdict": HYPOTHESIS_UNMET})
-        report.summary = _summary(
-            report.points,
-            {"status": HYPOTHESIS_UNMET, "chi": chi, "color_critical": critical},
-        )
-        report.elapsed = time.perf_counter() - t0
-        return report
-    for p in sorted(p_range):
-        rep = covering_report(f, p)
-        fam = rep.family
-        chi_min = min(chromatic_number(m) for m in fam)
-        chi_ok = chi_min >= k
-        exval = ex_general(p, r - 1, fam, ceiling=ceiling, workers=workers).value
-        tval = count_cliques(turan_graph(p, min(k - 1, p)), r - 1)
-        point = {
-            "F": f_name,
-            "p": p,
-            "r": r,
-            "family": [to_graph6(m) for m in fam],
-            "family_chromatic_min": chi_min,
-            "chromatic_ok": chi_ok,
-            "fallback": rep.fallback_used,
-            "brute": exval,
-            "formula": tval,
-            "verdict": PASS if exval == tval and chi_ok else FAIL,
-        }
-        if rep.fallback_used:
-            point["notes"] = "no covering at this bound; family is the fallback clique"
-        report.points.append(point)
-    report.summary = _summary(report.points, {"chi": chi, "k": k})
-    report.elapsed = time.perf_counter() - t0
-    return report
+    rows = [(f_name, p, r) for p in sorted(p_range)]
+    return _run("color-critical", rows, f=f, r=r, ceiling=ceiling, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -645,44 +597,90 @@ def verify_color_critical_components(
 # ---------------------------------------------------------------------------
 
 
+def _pentagon_point(ctx: SimpleNamespace, point: dict, p: int, formula: str | int) -> None:
+    # a string formula describes the cover family, an integer one is the
+    # profile value ex(p, K_2, family)
+    fam = family_fp(cycle(5), p)
+    if isinstance(formula, int):
+        val = ex_general(p, 2, fam, **ctx.opts).value
+        point.update(brute=val, formula=formula, verdict=PASS if val == formula else FAIL)
+        return
+    if p == 2:
+        ok = list(fam) == [canonical_form(complete(3)).graph]
+    else:
+        ok = disjoint_union(complete(2), empty(1)) in fam
+    point.update(
+        family=[to_graph6(m) for m in fam], formula=formula, verdict=PASS if ok else FAIL
+    )
+
+
 def verify_cover_family_example(*, ceiling: int | None = None, workers: int = 1) -> TheoremReport:
     """The pentagon worked example: no 2-cover (fallback to the triangle),
     the one-edge-plus-isolated-vertex member from p = 3 on, and the
     resulting non-monotone profile ex(2)=1 but ex(p)=0 for p >= 3."""
-    t0 = time.perf_counter()
-    c5 = cycle(5)
-    k2_k1 = disjoint_union(complete(2), empty(1))
-    report = TheoremReport("pentagon-cover-family")
-    fam2 = family_fp(c5, 2)
-    report.points.append(
-        {
-            "p": 2,
-            "family": [to_graph6(m) for m in fam2],
-            "formula": "{K3}, fallback",
-            "verdict": PASS
-            if list(fam2) == [canonical_form(complete(3)).graph]
-            else FAIL,
-        }
+    rows = [(2, "{K3}, fallback")] + [(p, "contains K2+K1") for p in (3, 4, 5)]
+    rows += [(2, 1), (3, 0), (4, 0)]
+    return _run("pentagon", rows, ceiling=ceiling, workers=workers)
+
+
+# ---------------------------------------------------------------------------
+# the table
+# ---------------------------------------------------------------------------
+
+THEOREMS = {
+    t.command: t
+    for t in (
+        Theorem(
+            "erdos-gallai", "erdos-gallai", "verify_erdos_gallai", ("n", "s"),
+            _erdos_gallai_point,
+            flags=(("--n", "n", RANGE), ("--s", "s", RANGE)),
+            expand=lambda n, s: ([(a, b) for b in s for a in n if a >= 2 * b + 1],),
+        ),
+        Theorem(
+            "ma-hou", "ma-hou", "verify_ma_hou", ("n", "s", "r", "k"), _ma_hou_point,
+            flags=(("--n", "n", RANGE), ("--s", "s", RANGE), ("--r", "r", RANGE),
+                   ("--k", "k", RANGE)),
+            expand=lambda n, s, r, k: ([
+                (a, b, c, d) for b in s for c in r for d in k for a in n
+                if a >= 2 * b + 1 and 2 <= c <= d
+            ],),
+        ),
+        Theorem(
+            "main", "main-exact", "verify_main_theorem_exact", ("F", "n", "s", "r"),
+            _main_point,
+            flags=(F_FLAG, ("--s", "s", INT), ("--r", "r", INT), ("--n", "n", RANGE)),
+            gate=_main_gate,
+            small_n=True,
+        ),
+        Theorem(
+            "gerbner", "gerbner-slope", "verify_gerbner_slope", ("F", "n", "s"),
+            _gerbner_point,
+            flags=(F_FLAG, ("--s", "s", INT), ("--n", "n", RANGE)),
+            gate=_gerbner_gate,
+            finish=_gerbner_finish,
+        ),
+        Theorem(
+            "forest", "balanced-forest", "verify_forest_theorem", ("F", "n", "s"),
+            _forest_point,
+            flags=(F_FLAG, ("--s", "s", INT), ("--n", "n", RANGE)),
+            gate=_forest_gate,
+            small_n=True,
+        ),
+        Theorem(
+            "tutte-berge", "tutte-berge", "verify_tutte_berge", ("n",), _tutte_berge_point,
+            flags=(("--n", "n", RANGE),),
+            expand=lambda n: (max(n),),
+        ),
+        Theorem(
+            "color-critical", "color-critical-components",
+            "verify_color_critical_components", ("F", "p", "r"), _color_critical_point,
+            flags=(F_FLAG, ("--r", "r", INT), ("--p", "p", RANGE)),
+            gate=_color_critical_gate,
+        ),
+        Theorem(
+            "pentagon", "pentagon-cover-family", "verify_cover_family_example", ("p",),
+            _pentagon_point,
+            help="pentagon cover-family worked example",
+        ),
     )
-    for p in (3, 4, 5):
-        fam = family_fp(c5, p)
-        report.points.append(
-            {
-                "p": p,
-                "family": [to_graph6(m) for m in fam],
-                "formula": "contains K2+K1",
-                "verdict": PASS if k2_k1 in fam else FAIL,
-            }
-        )
-    val2 = ex_general(2, 2, fam2, ceiling=ceiling, workers=workers).value
-    report.points.append(
-        {"p": 2, "brute": val2, "formula": 1, "verdict": PASS if val2 == 1 else FAIL}
-    )
-    for p in (3, 4):
-        val = ex_general(p, 2, family_fp(c5, p), ceiling=ceiling, workers=workers).value
-        report.points.append(
-            {"p": p, "brute": val, "formula": 0, "verdict": PASS if val == 0 else FAIL}
-        )
-    report.summary = _summary(report.points)
-    report.elapsed = time.perf_counter() - t0
-    return report
+}

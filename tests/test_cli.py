@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from matchturan import verifier
 from matchturan.cli import main, parse_family, parse_graph, parse_range
 from matchturan.graphs import (
     canonical_key,
@@ -167,3 +168,32 @@ def test_env_ceiling_respected(monkeypatch, capsys):
 def test_bad_graph_token_is_reported(capsys):
     assert main(["ex", "--n", "4", "--forbid", "Q3"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ex", "--n", "4", "--forbid", "K3", "--format", "json"],
+        ["family", "--graph", "C5", "--p", "2", "--ceiling", "5"],
+        ["construct", "clique", "--s", "2", "--workers", "2"],
+    ],
+)
+def test_flags_only_where_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_calls_the_module_attribute(monkeypatch, capsys):
+    # a wrapper installed on the verifier module after import must see the run
+    calls = []
+    original = verifier.verify_erdos_gallai
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "verify_erdos_gallai", wrapped)
+    assert main(["verify", "erdos-gallai", "--n", "4..5", "--s", "1..2"]) == 0
+    assert calls == [([(4, 1), (5, 1), (5, 2)],)]

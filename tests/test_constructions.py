@@ -155,9 +155,10 @@ def test_construction_spec_roundtrip():
 
 
 def test_construction_spec_validation():
+    # the builders reject these sizes
     with pytest.raises(ValueError):
-        ConstructionSpec(kind="gns", n=4, s=5).validate()
+        realize(ConstructionSpec(kind="gns", n=4, s=5))
     with pytest.raises(ValueError):
-        ConstructionSpec(kind="forest_extremal", n=3, p=2, t=1).validate()
+        realize(ConstructionSpec(kind="forest_extremal", n=3, p=2, t=1))
     with pytest.raises(ValueError):
         ConstructionSpec(kind="widget").validate()

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from matchturan.graphs import (
+    Graph,
     complete,
     cycle,
     empty,
@@ -11,7 +12,9 @@ from matchturan.graphs import (
     path,
     star,
 )
-from matchturan.solver import CeilingError
+from matchturan.containment import GraphFamily
+from matchturan.invariants import connected_components
+from matchturan.solver import CeilingError, enumerate_free
 from matchturan.verifier import (
     CSV_COLUMNS,
     verify_color_critical_components,
@@ -141,6 +144,44 @@ def test_forest_theorem_gates():
     assert report.summary["status"] == "hypothesis-unmet"  # unbalanced tree
     report = verify_forest_theorem(path(6), 2, [6], f_name="P6")
     assert report.summary["status"] == "hypothesis-unmet"  # p > s
+
+
+def _balanced_forest_shape_oracle(f: Graph) -> tuple[bool, int]:
+    """(is a balanced forest with at least one edge, component count), by
+    2-colouring each tree: the gate's former implementation."""
+    comps = connected_components(f)
+    if f.n == 0 or f.edge_count() == 0:
+        return False, len(comps)
+    for comp in comps:
+        members = [v for v in range(f.n) if comp >> v & 1]
+        edges = sum((f.adj[v] & comp).bit_count() for v in members) // 2
+        if edges != len(members) - 1:
+            return False, len(comps)  # component has a cycle
+        color = {members[0]: 0}
+        stack = [members[0]]
+        while stack:
+            v = stack.pop()
+            for u in members:
+                if f.adj[v] >> u & 1 and u not in color:
+                    color[u] = color[v] ^ 1
+                    stack.append(u)
+        sides = [sum(1 for c in color.values() if c == b) for b in (0, 1)]
+        if sides[0] != sides[1]:
+            return False, len(comps)
+    return True, len(comps)
+
+
+def test_forest_gate_matches_two_colouring_oracle():
+    # s = 3 >= |F|/2 for every F on at most 7 vertices, so the gate is met
+    # exactly when F is a balanced forest
+    balanced = 0
+    for n in range(8):
+        for f in enumerate_free(n, GraphFamily(), ceiling=7):
+            report = verify_forest_theorem(f, 3, [], f_name="F")
+            met = report.summary["status"] != "hypothesis-unmet"
+            assert met == _balanced_forest_shape_oracle(f)[0], f.adj
+            balanced += met
+    assert balanced == 8
 
 
 def test_tutte_berge_sweep():
