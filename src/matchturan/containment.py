@@ -140,12 +140,6 @@ class GraphFamily:
         label = f" label={self.label!r}" if self.label else ""
         return f"GraphFamily({len(self.members)} members{label})"
 
-    def relabelled(self, label: str) -> "GraphFamily":
-        fam = GraphFamily.__new__(GraphFamily)
-        fam.members = self.members
-        fam.label = label
-        return fam
-
     def to_lines(self) -> list[str]:
         """Serialize as a label header plus one graph6 line per member."""
         return [f"# {self.label}"] + [to_graph6(m) for m in self.members]
@@ -174,7 +168,8 @@ def is_family_free(g: Graph, family: GraphFamily) -> bool:
 
 def minimalize(family: GraphFamily) -> GraphFamily:
     """Drop members that contain another member as a subgraph; freeness
-    semantics are unchanged for every host."""
+    semantics are unchanged for every host.  The kept members are already
+    canonical and sorted, so they are not canonicalized again."""
     keep = []
     for i, m in enumerate(family.members):
         dominated = any(
@@ -183,5 +178,7 @@ def minimalize(family: GraphFamily) -> GraphFamily:
         )
         if not dominated:
             keep.append(m)
-    out = GraphFamily(keep, label=family.label)
+    out = GraphFamily.__new__(GraphFamily)
+    out.members = tuple(keep)
+    out.label = family.label
     return out

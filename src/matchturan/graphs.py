@@ -226,15 +226,7 @@ def remove_edge(g: Graph, u: int, v: int) -> Graph:
 
 def relabel(g: Graph, perm: Iterable[int]) -> Graph:
     """Image of g under the permutation perm (perm[v] = new index of v)."""
-    perm = list(perm)
-    rows = [0] * g.n
-    for v in range(g.n):
-        pv = perm[v]
-        acc = 0
-        for u in _bits(g.adj[v]):
-            acc |= 1 << perm[u]
-        rows[pv] = acc
-    return _raw(g.n, rows)
+    return _raw(g.n, _permuted_rows(g.n, g.adj, list(perm)))
 
 
 # ---------------------------------------------------------------------------
@@ -252,24 +244,20 @@ class CanonicalForm:
 
     `automorphisms` are the non-identity automorphisms of the input graph
     that the search discovered, in the input's labelling (sigma[v] is the
-    image of v); they generate its whole automorphism group unless
-    `truncated` is set, meaning _MAX_AUTOMORPHISM_GENERATORS cut the list
-    short and they may generate only a subgroup.
+    image of v); they always generate its whole automorphism group.
     """
 
-    __slots__ = ("graph", "permutation", "automorphisms", "truncated")
+    __slots__ = ("graph", "permutation", "automorphisms")
 
     def __init__(
         self,
         graph: Graph,
         permutation: tuple[int, ...],
         automorphisms: tuple[tuple[int, ...], ...] = (),
-        truncated: bool = False,
     ):
         self.graph = graph
         self.permutation = permutation
         self.automorphisms = automorphisms
-        self.truncated = truncated
 
     def key(self) -> tuple[int, tuple[int, ...]]:
         return (self.graph.n, self.graph.adj)
@@ -317,9 +305,6 @@ def _permuted_rows(n: int, adj: tuple[int, ...], perm: list[int]) -> tuple[int, 
     return tuple(rows)
 
 
-_MAX_AUTOMORPHISM_GENERATORS = 256
-
-
 def canonical_form(g: Graph) -> CanonicalForm:
     """Deterministic canonical labelling.
 
@@ -328,9 +313,10 @@ def canonical_form(g: Graph) -> CanonicalForm:
     restricted to those fixing the individualised prefix) as an explored
     sibling are pruned.  The canonical graph is the lexicographic minimum of
     the relabelled adjacency rows over all refinement-consistent labellings.
-    Each leaf that repeats an earlier leaf's rows yields an automorphism;
-    since every pruned leaf is the image of an explored one under those,
-    they generate the whole automorphism group (see CanonicalForm).
+    Each leaf that repeats an earlier leaf's rows yields an automorphism,
+    and every one is recorded; since every pruned leaf is the image of an
+    explored one under those, they generate the whole automorphism group
+    (see CanonicalForm).
     """
     n = g.n
     if n == 0:
@@ -342,25 +328,22 @@ def canonical_form(g: Graph) -> CanonicalForm:
     best_perm: list[int] | None = None
     leaf_first: dict[tuple[int, ...], list[int]] = {}
     autos: list[tuple[int, ...]] = []
-    truncated = False
 
     def record_leaf(colors: list[int]) -> None:
-        nonlocal best_rows, best_perm, truncated
+        nonlocal best_rows, best_perm
         rows = _permuted_rows(n, adj, colors)
         if best_rows is None or rows < best_rows:
             best_rows, best_perm = rows, list(colors)
         prev = leaf_first.get(rows)
         if prev is None:
             leaf_first[rows] = list(colors)
-        elif len(autos) < _MAX_AUTOMORPHISM_GENERATORS:
+        else:
             inv_prev = [0] * n
             for v, p in enumerate(prev):
                 inv_prev[p] = v
             sigma = tuple(inv_prev[colors[v]] for v in range(n))
             if any(sigma[v] != v for v in range(n)) and sigma not in autos:
                 autos.append(sigma)
-        else:
-            truncated = True
 
     def orbit_mask(v: int, gens: list[tuple[int, ...]]) -> int:
         seen = 1 << v
@@ -405,7 +388,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
     descend(base, [])
     assert best_rows is not None and best_perm is not None
-    return CanonicalForm(_raw(n, best_rows), tuple(best_perm), tuple(autos), truncated)
+    return CanonicalForm(_raw(n, best_rows), tuple(best_perm), tuple(autos))
 
 
 def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -499,13 +482,6 @@ def read_graph6_lines(lines: Iterable[str]) -> list[Graph]:
         if line:
             out.append(from_graph6(line))
     return out
-
-
-def all_labelled_masks(n: int) -> Iterator[int]:
-    """Every labelled graph on n vertices as an edge-subset bitmask over the
-    C(n,2) pairs in combinations order (oracle-side helper)."""
-    npairs = n * (n - 1) // 2
-    yield from range(1 << npairs)
 
 
 def graph_from_pair_mask(n: int, mask: int) -> Graph:

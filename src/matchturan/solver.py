@@ -23,12 +23,7 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Iterator
 
-from .containment import (
-    GraphFamily,
-    contains_subgraph,
-    contains_subgraph_using_edge,
-    minimalize,
-)
+from .containment import GraphFamily, contains_subgraph_using_edge, minimalize
 from .covering import family_fp, p_of_f
 from .graphs import (
     CanonicalForm,
@@ -124,9 +119,9 @@ def _edge_creates_member(
     return False
 
 
-# a class representative: canonical rows, generators of its automorphism
-# group in that labelling, and whether the generator list was truncated
-Labelled = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], bool]
+# a class representative: canonical rows and generators of its automorphism
+# group in that labelling
+Labelled = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
 def _labelled(cf: CanonicalForm) -> Labelled:
@@ -138,7 +133,7 @@ def _labelled(cf: CanonicalForm) -> Labelled:
         for v, p in enumerate(perm):
             tau[p] = perm[sigma[v]]
         gens.append(tuple(tau))
-    return cf.graph.adj, tuple(gens), cf.truncated
+    return cf.graph.adj, tuple(gens)
 
 
 def _pair_orbit(
@@ -204,16 +199,8 @@ def _expand_parents(
     of C - m(C), and only from one Aut(P)-orbit of non-edges, which the
     parent's generators prune to a single representative."""
     members = [(_raw(len(rows), rows), k) for rows, k in member_rows]
-    # MATCHTURAN_DEBUG_PRUNING=1 cross-checks the incremental new-edge test
-    # against a full containment scan on every child (slow, exact)
-    debug = os.environ.get("MATCHTURAN_DEBUG_PRUNING") == "1"
     out: list[Labelled] = []
-    for rows, gens, parent_truncated in parents:
-        kids: list[Labelled] = []
-        # Truncated generators may leave two Aut(P)-equivalent non-edges, or
-        # let the fallback below accept C from P twice; every copy of a class
-        # then still comes from this one parent, so deduplicating here is exact.
-        loose = parent_truncated
+    for rows, gens in parents:
         seen: set[tuple[int, int]] = set()
         for u in range(n):
             for v in range(u + 1, n):
@@ -225,13 +212,7 @@ def _expand_parents(
                 child_rows[u] |= 1 << v
                 child_rows[v] |= 1 << u
                 child = _raw(n, child_rows)
-                created = bool(members) and _edge_creates_member(child, members, u, v)
-                if debug:
-                    full = any(contains_subgraph(child, m) for m, _ in members)
-                    assert created == full, (
-                        f"incremental pruning diverged on edge ({u},{v})"
-                    )
-                if created:
+                if members and _edge_creates_member(child, members, u, v):
                     continue
                 top = _top_class(n, child.adj, u, v)
                 if top is None:
@@ -241,19 +222,8 @@ def _expand_parents(
                     perm = cf.permutation
                     a, b = max(top, key=lambda e: sorted((perm[e[0]], perm[e[1]])))
                     if (a, b) not in _pair_orbit(u, v, cf.automorphisms):
-                        if not cf.truncated:
-                            continue
-                        # the orbit may be incomplete: accept iff C - m(C) is
-                        # isomorphic to the parent, the canonical parent
-                        child_rows[a] ^= 1 << b
-                        child_rows[b] ^= 1 << a
-                        if canonical_form(_raw(n, child_rows)).graph.adj != rows:
-                            continue
-                        loose = True
-                kids.append(_labelled(cf))
-        if loose:
-            kids = list({kid[0]: kid for kid in kids}.values())
-        out.extend(kids)
+                        continue
+                out.append(_labelled(cf))
     return out
 
 
@@ -279,7 +249,7 @@ def enumerate_free(
     try:
         level = [_labelled(canonical_form(_raw(n, [0] * n)))]
         while level:
-            for rows, _, _ in level:
+            for rows, _ in level:
                 yield _raw(n, rows)
             if workers > 1 and len(level) >= 4 * workers:
                 if pool is None:
@@ -377,15 +347,6 @@ class ExProfile:
     p_limit: int | float
     points: tuple[tuple[int, int], ...]
     t: int | None
-
-    def to_payload(self) -> dict:
-        return {
-            "r": self.r,
-            "s": self.s,
-            "p_limit": self.p_limit if self.p_limit != float("inf") else "inf",
-            "points": [list(pt) for pt in self.points],
-            "t": self.t,
-        }
 
 
 def ex_profile(

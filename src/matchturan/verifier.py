@@ -513,7 +513,7 @@ def verify_forest_theorem(
 def _tutte_berge_point(ctx: SimpleNamespace, point: dict, n: int) -> None:
     mismatches = []
     classes = 0
-    for g in enumerate_free(n, GraphFamily(), ceiling=max(n, 7), workers=ctx.opts["workers"]):
+    for g in enumerate_free(n, GraphFamily(), **ctx.opts):
         classes += 1
         nu = matching_number(g)
         cert = tutte_berge_certificate(g)

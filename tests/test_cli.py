@@ -158,6 +158,11 @@ def test_ceiling_flag_validation(capsys):
     assert "ceiling" in capsys.readouterr().err
 
 
+def test_verify_tutte_berge_honours_ceiling(capsys):
+    assert main(["verify", "tutte-berge", "--n", "1..6", "--ceiling", "3"]) == 2
+    assert "ceiling 3" in capsys.readouterr().err
+
+
 def test_env_ceiling_respected(monkeypatch, capsys):
     monkeypatch.setenv("MATCHTURAN_CEILING", "5")
     rc = main(["ex", "--n", "6", "--forbid", "P6"])

@@ -1,6 +1,7 @@
 import random
 from itertools import permutations
 
+import matchturan.containment
 from matchturan.containment import (
     GraphFamily,
     contains_subgraph,
@@ -19,6 +20,7 @@ from matchturan.graphs import (
     graph_from_pair_mask,
     matching,
     path,
+    relabel,
     star,
     to_graph6,
 )
@@ -137,6 +139,19 @@ def test_minimalize():
     assert len(fam2) == 2  # incomparable
     fam3 = minimalize(family_fp(complete(4), 4))
     assert list(fam3) == list(GraphFamily([complete(3)]))
+
+
+def test_minimalize_does_not_recanonicalize(monkeypatch):
+    c5 = relabel(cycle(5), (3, 0, 4, 2, 1))
+    fam = GraphFamily([complete(4), c5, complete(3)], label="L")
+    expected = GraphFamily([relabel(cycle(5), (1, 3, 0, 4, 2)), complete(3)], label="L")
+
+    def no_call(g):
+        raise AssertionError("minimalize called canonical_form")
+
+    monkeypatch.setattr(matchturan.containment, "canonical_form", no_call)
+    reduced = minimalize(fam)
+    assert reduced == expected and reduced.label == "L"
 
 
 def test_minimalize_preserves_freeness_exhaustively():
