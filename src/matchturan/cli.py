@@ -38,7 +38,7 @@ from .graphs import (
     to_graph6,
     turan_graph,
 )
-from .solver import HARD_CEILING, ex_general, validate_ceiling
+from .solver import HARD_CEILING, ex_general, validate_ceiling, validate_workers
 from .verifier import CSV_COLUMNS, GRAPH, INT, RANGE, THEOREMS, TheoremReport
 
 _NAMED = {
@@ -355,6 +355,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "ceiling", None) is not None:
             validate_ceiling(args.ceiling, "--ceiling")
+        if hasattr(args, "workers"):
+            validate_workers(args.workers, "--workers")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

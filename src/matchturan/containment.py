@@ -8,22 +8,18 @@ vertex-count check.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
-from .graphs import Graph, canonical_form, from_graph6, to_graph6
+from .graphs import Graph, canonical_form, from_graph6, remove_edge, to_graph6
 
 
-def _pattern_order(pattern: Graph, pinned: tuple[int, ...]) -> list[int]:
-    # non-isolated vertices only; pinned first, then greedily prefer vertices
-    # with the most already-placed neighbours (ties: higher degree, lower id)
+def _pattern_order(pattern: Graph) -> list[int]:
+    # non-isolated vertices only; greedily prefer vertices with the most
+    # already-placed neighbours (ties: higher degree, lower id)
     degs = [pattern.degree(v) for v in range(pattern.n)]
-    order = list(pinned)
+    rest = [v for v in range(pattern.n) if degs[v] > 0]
+    out = []
     placed_mask = 0
-    for v in order:
-        placed_mask |= 1 << v
-    rest = [v for v in range(pattern.n) if degs[v] > 0 and not placed_mask >> v & 1]
-    rest.sort(key=lambda v: (-degs[v], v))
-    out = list(order)
     while rest:
         best = max(
             rest,
@@ -35,24 +31,11 @@ def _pattern_order(pattern: Graph, pinned: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _find_embedding(
-    host: Graph, pattern: Graph, pins: tuple[tuple[int, int], ...] = ()
-) -> bool:
+def _find_embedding(host: Graph, pattern: Graph) -> bool:
     if pattern.n > host.n:
         return False
     img = [-1] * pattern.n
-    used = 0
-    for pv, hv in pins:
-        if img[pv] >= 0 or used >> hv & 1:
-            return False
-        img[pv] = hv
-        used |= 1 << hv
-    # pinned pairs must already respect adjacency
-    for pv, hv in pins:
-        for pu in range(pattern.n):
-            if img[pu] >= 0 and pattern.has_edge(pv, pu) and not host.has_edge(hv, img[pu]):
-                return False
-    order = _pattern_order(pattern, tuple(pv for pv, _ in pins))
+    order = _pattern_order(pattern)
     host_full = host.vertex_mask()
     hdeg = [host.degree(v) for v in range(host.n)]
 
@@ -81,7 +64,7 @@ def _find_embedding(
         img[a] = -1
         return False
 
-    return rec(len(pins), used)
+    return rec(0, 0)
 
 
 def contains_subgraph(host: Graph, pattern: Graph) -> bool:
@@ -91,15 +74,16 @@ def contains_subgraph(host: Graph, pattern: Graph) -> bool:
 
 
 def contains_subgraph_using_edge(host: Graph, pattern: Graph, u: int, v: int) -> bool:
-    """True iff some embedding of pattern maps a pattern edge onto the host
-    edge uv.  Used for incremental freeness checks after adding uv."""
-    if not host.has_edge(u, v):
-        return False
-    for a, b in pattern.edges():
-        for pa, pb in ((a, b), (b, a)):
-            if _find_embedding(host, pattern, ((pa, u), (pb, v))):
-                return True
-    return False
+    """True iff the host edge uv completes a copy of pattern: host contains
+    pattern and host - uv does not.  False when uv is not a host edge, and
+    False when host - uv already contains pattern.  Used for incremental
+    freeness checks after adding uv to a pattern-free graph, where it equals
+    "host contains pattern"."""
+    return (
+        host.has_edge(u, v)
+        and _find_embedding(host, pattern)
+        and not _find_embedding(remove_edge(host, u, v), pattern)
+    )
 
 
 class GraphFamily:

@@ -41,12 +41,7 @@ def all_coverings(f: Graph, p: int) -> list[tuple[int, ...]]:
 def family_fp(f: Graph, p: int, label: str = "") -> GraphFamily:
     """The family {f[S] : S a covering of f, |S| <= p}, deduplicated up to
     isomorphism; {K_{p+1}} when f has no covering of size <= p."""
-    covers = all_coverings(f, p)
-    if not label:
-        label = f"fp({to_graph6(canonical_form(f).graph)},{p})"
-    if not covers:
-        return GraphFamily([complete(p + 1)], label=label)
-    return GraphFamily((induced(f, s) for s in covers), label=label)
+    return covering_report(f, p, label).family
 
 
 @dataclass(frozen=True)
@@ -72,11 +67,17 @@ class CoveringReport:
 
 def covering_report(f: Graph, p: int, label: str = "") -> CoveringReport:
     covers = all_coverings(f, p)
+    if not label:
+        label = f"fp({to_graph6(canonical_form(f).graph)},{p})"
+    if covers:
+        family = GraphFamily((induced(f, s) for s in covers), label=label)
+    else:
+        family = GraphFamily([complete(p + 1)], label=label)
     return CoveringReport(
         graph=f,
         p=p,
         covers=tuple(covers),
-        family=family_fp(f, p, label=label),
+        family=family,
         fallback_used=not covers,
     )
 

@@ -58,6 +58,12 @@ def validate_ceiling(value: int | str, source: str) -> int:
     return ceiling
 
 
+def validate_workers(value: int, source: str) -> None:
+    """A ValueError naming the `source` unless `value` is an int >= 1."""
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"{source} must be an integer >= 1, got {value!r}")
+
+
 def resolve_ceiling(family: GraphFamily, ceiling: int | None = None) -> int:
     """Explicit argument, else the MATCHTURAN_CEILING env var, else 10 when
     the family prunes hard (some member on <= 4 vertices), else 9.  The
@@ -237,6 +243,9 @@ def enumerate_free(
     """Yield exactly one representative per isomorphism class of
     family-free n-vertex graphs, in deterministic order (by edge count,
     then canonical adjacency)."""
+    if n < 0:
+        raise ValueError(f"vertex count must be >= 0, got {n}")
+    validate_workers(workers, "workers argument")
     limit = resolve_ceiling(family, ceiling)
     if n > limit:
         raise CeilingError(f"n={n} exceeds enumeration ceiling {limit}")

@@ -326,7 +326,8 @@ def _main_gate(ctx: SimpleNamespace) -> tuple[str | None, dict]:
     if not (pf >= ctx.s + 1 and profile.t == ctx.s):
         return HYPOTHESIS_UNMET, {"gate": gate}
     ctx.fam = family_fp(ctx.f, ctx.s)
-    ctx.ex_lower = ex_general(ctx.s, ctx.r - 1, ctx.fam, **ctx.opts).value
+    # the profile's last point is p = s, so it already holds ex(s, K_{r-1}, fam)
+    ctx.ex_lower = profile.points[-1][1]
     ctx.ex_inner = ex_general(ctx.s, ctx.r, ctx.fam, **ctx.opts).value
     return None, {"gate": gate, "ex_slope": ctx.ex_lower, "ex_constant": ctx.ex_inner}
 

@@ -101,10 +101,67 @@ def test_contains_using_edge_matches_difference():
         u, v = rng.choice(non_edges)
         bigger = add_edge(host, u, v)
         created = contains_subgraph_using_edge(bigger, pattern, u, v)
-        if not contains_subgraph(host, pattern):
-            assert created == contains_subgraph(bigger, pattern)
-        elif created:
-            assert contains_subgraph(bigger, pattern)
+        assert created == (
+            contains_subgraph(bigger, pattern) and not contains_subgraph(host, pattern)
+        )
+
+
+def test_using_edge_false_when_copy_avoids_the_edge():
+    # a-b-c with uv = ab: the edge bc is already a copy of K2
+    assert not contains_subgraph_using_edge(path(3), complete(2), 0, 1)
+    assert contains_subgraph_using_edge(add_edge(empty(3), 0, 1), complete(2), 0, 1)
+
+
+def _labelled_copies(n, pattern, index):
+    """Edge masks (bit index[a, b] per edge) of every labelled copy of
+    pattern among n vertices."""
+    copies = set()
+    for img in permutations(range(n), pattern.n):
+        mask = 0
+        for a, b in pattern.edges():
+            x, y = sorted((img[a], img[b]))
+            mask |= 1 << index[x, y]
+        copies.add(mask)
+    return copies
+
+
+def test_using_edge_exhaustive_small_hosts(monkeypatch):
+    # every labelled host on <= 5 vertices, every vertex pair, against an
+    # oracle built from the labelled copies of each pattern; a non-edge is
+    # answered without any search
+    searches = []
+    search = matchturan.containment._find_embedding
+
+    def counted(host, pattern):
+        searches.append(1)
+        return search(host, pattern)
+
+    monkeypatch.setattr(matchturan.containment, "_find_embedding", counted)
+    patterns = [
+        complete(2), path(3), complete(3), cycle(4), matching(2), complete_bipartite(1, 3)
+    ]
+    for n in range(6):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        index = {pair: i for i, pair in enumerate(pairs)}
+        copies = [(p, _labelled_copies(n, p, index)) for p in patterns]
+        for mask in range(1 << len(pairs)):
+            host = empty(n)
+            for (a, b), i in index.items():
+                if mask >> i & 1:
+                    host = add_edge(host, a, b)
+            for pattern, cps in copies:
+                for (u, v), i in index.items():
+                    bit = 1 << i
+                    expected = (
+                        bool(mask & bit)
+                        and any(c & mask == c for c in cps)
+                        and not any(c & mask & ~bit == c for c in cps)
+                    )
+                    searches.clear()
+                    got = contains_subgraph_using_edge(host, pattern, u, v)
+                    assert got == expected, (to_graph6(host), to_graph6(pattern), u, v)
+                    if not mask & bit:
+                        assert not searches
 
 
 def test_family_dedup_and_membership():

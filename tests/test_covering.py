@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+import matchturan.covering
 from matchturan.containment import GraphFamily, contains_subgraph, is_family_free
 from matchturan.covering import (
     INFINITE,
@@ -92,6 +93,21 @@ def test_family_fp_fallback_k2():
     rep = covering_report(complete(2), 0)
     assert rep.fallback_used
     assert list(rep.family) == [empty(1)]
+
+
+def test_cover_family_enumerates_coverings_once(monkeypatch):
+    calls = []
+
+    def counted(f, p):
+        calls.append(p)
+        return all_coverings(f, p)
+
+    monkeypatch.setattr(matchturan.covering, "all_coverings", counted)
+    covering_report(cycle(5), 3)
+    assert calls == [3]
+    calls.clear()
+    family_fp(cycle(5), 3)
+    assert calls == [3]
 
 
 def test_p_of_f():

@@ -249,6 +249,21 @@ def test_invalid_ceiling_argument_is_rejected(capsys):
     assert "--ceiling" in capsys.readouterr().err
 
 
+def test_negative_vertex_count_is_rejected(capsys):
+    with pytest.raises(ValueError, match="vertex count"):
+        next(enumerate_free(-1, GraphFamily()))
+    assert main(["ex", "--n", "-1"]) == 2
+    assert "vertex count" in capsys.readouterr().err
+
+
+def test_invalid_workers_are_rejected(capsys):
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="workers argument"):
+            next(enumerate_free(3, GraphFamily(), workers=bad))
+        assert main(["ex", "--n", "3", "--workers", str(bad)]) == 2
+        assert "--workers" in capsys.readouterr().err
+
+
 def test_profile_pentagon():
     prof = ex_profile(cycle(5), 3, 4)
     assert prof.points == ((1, 0), (2, 1), (3, 0), (4, 0))
