@@ -272,24 +272,62 @@ class CanonicalForm:
         return f"CanonicalForm({self.graph!r}, perm={self.permutation})"
 
 
-def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
-    # iterate equitable refinement: split cells by multiset of neighbour
-    # colors, packed into one int (7 bits per color class, counts < 128)
+# 1 << 7c for every colour that _refine can see (individualisation maps
+# colour c to 2c or 2c + 1)
+_WEIGHT = [1 << 7 * c for c in range(2 * MAX_VERTICES)]
+
+
+def _refinement_plan(n: int, adj: tuple[int, ...]) -> list[tuple[bool, list[int]]]:
+    # per vertex: whether it counts its non-neighbours (degree above n/2),
+    # and the vertices it counts
+    full = (1 << n) - 1
+    plan = []
+    for v, row in enumerate(adj):
+        dense = 2 * row.bit_count() > n
+        plan.append((dense, list(_bits(full ^ row ^ 1 << v if dense else row))))
+    return plan
+
+
+def _refine(plan: list[tuple[bool, list[int]]], colors: list[int]) -> list[int]:
+    # iterate equitable refinement: split cells by (colour, multiset of
+    # neighbour colours), the multiset packed into one int (7 bits per colour
+    # class, counts < 128); a dense vertex packs its non-neighbours and
+    # subtracts them and itself from the whole vertex set
+    n = len(colors)
     while True:
-        sigs = []
+        weight = [_WEIGHT[c] for c in colors]
+        total = sum(weight)
+        keys = []
         for v in range(n):
-            acc = colors[v] << 1024
-            m = adj[v]
-            while m:
-                b = m & -m
-                acc += 1 << 7 * colors[b.bit_length() - 1]
-                m ^= b
-            sigs.append(acc)
-        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ranks[s] for s in sigs]
+            dense, counted = plan[v]
+            packed = sum(map(weight.__getitem__, counted))
+            if dense:
+                packed = total - weight[v] - packed
+            keys.append((colors[v], packed))
+        ranks = {k: i for i, k in enumerate(sorted(set(keys)))}
+        new = [ranks[k] for k in keys]
         if new == colors:
             return new
         colors = new
+
+
+_last_unit: tuple = ((), [], [])
+
+
+def _unit_refinement(
+    n: int, adj: tuple[int, ...]
+) -> tuple[list[tuple[bool, list[int]]], list[int]]:
+    """The refinement plan of adj and the equitable refinement of its
+    one-cell colouring.  The last answer is kept: the enumerator refines a
+    child and then canonicalizes the same child.  Callers must not mutate
+    the lists."""
+    global _last_unit
+    key, plan, colors = _last_unit
+    if key != adj:
+        plan = _refinement_plan(n, adj)
+        colors = _refine(plan, [0] * n)
+        _last_unit = (adj, plan, colors)
+    return plan, colors
 
 
 def _permuted_rows(n: int, adj: tuple[int, ...], perm: list[int]) -> tuple[int, ...]:
@@ -305,89 +343,137 @@ def _permuted_rows(n: int, adj: tuple[int, ...], perm: list[int]) -> tuple[int, 
     return tuple(rows)
 
 
+class _Orbits:
+    """Orbits on a search node's target cell of the automorphisms found so
+    far that fix the node's individualised prefix, as a union-find fed only
+    the automorphisms added since it last looked.  Such an automorphism
+    preserves the node's colouring, so it maps the cell onto itself."""
+
+    __slots__ = ("parent", "prefix", "seen")
+
+    def __init__(self, cell: list[int], prefix: list[int]):
+        self.parent = {v: v for v in cell}
+        self.prefix = tuple(prefix)
+        self.seen = 0
+
+    def find(self, v: int) -> int:
+        parent = self.parent
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    def update(self, autos: list[tuple[int, ...]]) -> None:
+        for s in autos[self.seen :]:
+            if all(s[f] == f for f in self.prefix):
+                for v in self.parent:
+                    a, b = self.find(v), self.find(s[v])
+                    if a != b:
+                        self.parent[max(a, b)] = min(a, b)
+        self.seen = len(autos)
+
+
 def canonical_form(g: Graph) -> CanonicalForm:
     """Deterministic canonical labelling.
 
-    Degree-refinement plus backtracking over individualisations; subtrees led
-    by a vertex in the same orbit (under automorphisms discovered so far,
-    restricted to those fixing the individualised prefix) as an explored
-    sibling are pruned.  The canonical graph is the lexicographic minimum of
-    the relabelled adjacency rows over all refinement-consistent labellings.
-    Each leaf that repeats an earlier leaf's rows yields an automorphism,
-    and every one is recorded; since every pruned leaf is the image of an
-    explored one under those, they generate the whole automorphism group
-    (see CanonicalForm).
+    The search tree: the root is the equitable refinement of the one-cell
+    colouring; a node's children individualise each vertex of its first
+    non-singleton cell in turn, then refine; a leaf is a discrete colouring,
+    read as a relabelling.  The canonical graph is the lexicographic minimum
+    of the relabelled adjacency rows over all leaves, and the permutation is
+    the first leaf in depth-first order that attains it.
+
+    The search skips a subtree only when it is the image, under an
+    automorphism that fixes the subtree's individualised prefix, of a
+    subtree it has explored (as nauty does: McKay and Piperno, Practical
+    graph isomorphism II, 2014), so the skipped leaves repeat explored rows
+    and the result is that of the full tree:
+    - orbit pruning: a child in the orbit of an explored sibling under the
+      automorphisms found so far that fix the prefix;
+    - twins: a child w whose neighbourhood outside {z, w} equals that of the
+      node's first child z, because the transposition (z w) is an
+      automorphism;
+    - backjumping: a leaf that repeats an earlier leaf's rows yields the
+      automorphism sigma mapping it onto that leaf.  Refinement and
+      individualisation commute with automorphisms, so sigma maps this
+      leaf's path onto the earlier one; it fixes their common prefix and
+      maps this path's next vertex to the earlier path's, and the search
+      returns to the node where the two paths diverge.
+    Every twin transposition and every backjump's sigma is recorded.  Every
+    leaf equivalent to the first one is then explored or the image of an
+    explored one under recorded automorphisms, so they generate the whole
+    automorphism group (see CanonicalForm).
     """
     n = g.n
     if n == 0:
         return CanonicalForm(g, ())
     adj = g.adj
-    base = _refine(n, adj, [0] * n)
+    plan, base = _unit_refinement(n, adj)
 
     best_rows: tuple[int, ...] | None = None
-    best_perm: list[int] | None = None
-    leaf_first: dict[tuple[int, ...], list[int]] = {}
+    best_perm: list[int] = []
+    first: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     autos: list[tuple[int, ...]] = []
+    path: list[int] = []  # the individualised vertices, one per level
 
-    def record_leaf(colors: list[int]) -> None:
+    def leaf(colors: list[int]) -> int:
+        # returns the level at which the search goes on
         nonlocal best_rows, best_perm
+        depth = len(path)
         rows = _permuted_rows(n, adj, colors)
         if best_rows is None or rows < best_rows:
-            best_rows, best_perm = rows, list(colors)
-        prev = leaf_first.get(rows)
-        if prev is None:
-            leaf_first[rows] = list(colors)
-        else:
-            inv_prev = [0] * n
-            for v, p in enumerate(prev):
-                inv_prev[p] = v
-            sigma = tuple(inv_prev[colors[v]] for v in range(n))
-            if any(sigma[v] != v for v in range(n)) and sigma not in autos:
-                autos.append(sigma)
+            best_rows, best_perm = rows, colors
+        earlier = first.get(rows)
+        if earlier is None:
+            first[rows] = (colors, path[:])
+            return depth
+        earlier_colors, earlier_path = earlier
+        inv = [0] * n
+        for v, c in enumerate(earlier_colors):
+            inv[c] = v
+        sigma = tuple(inv[c] for c in colors)  # this leaf onto the earlier one
+        autos.append(sigma)
+        level = 0
+        while path[level] == earlier_path[level]:
+            level += 1
+        return level
 
-    def orbit_mask(v: int, gens: list[tuple[int, ...]]) -> int:
-        seen = 1 << v
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for s in gens:
-                y = s[x]
-                if not seen >> y & 1:
-                    seen |= 1 << y
-                    stack.append(y)
-        return seen
-
-    def descend(colors: list[int], fixed: list[int]) -> None:
-        cell_of: dict[int, list[int]] = {}
+    def descend(colors: list[int]) -> int:
+        # explores the subtree; returns the level at which the search goes on
+        depth = len(path)
+        cells: dict[int, list[int]] = {}
         for v in range(n):
-            cell_of.setdefault(colors[v], []).append(v)
-        target: list[int] | None = None
-        for c in sorted(cell_of):
-            if len(cell_of[c]) > 1:
-                target = cell_of[c]
-                break
-        if target is None:
-            record_leaf(colors)
-            return
-        tried_mask = 0
-        stab: list[tuple[int, ...]] = []
-        stab_upto = 0
-        for w in target:
-            if tried_mask:
-                if stab_upto < len(autos):
-                    stab = [s for s in autos if all(s[f] == f for f in fixed)]
-                    stab_upto = len(autos)
-                if stab and orbit_mask(w, stab) & tried_mask:
+            cells.setdefault(colors[v], []).append(v)
+        cell = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
+        if cell is None:
+            return leaf(colors)
+        orbits = _Orbits(cell, path)
+        z = cell[0]
+        tried: list[int] = []
+        for w in cell:
+            if tried:
+                orbits.update(autos)
+                root = orbits.find(w)
+                if any(orbits.find(t) == root for t in tried):
                     continue
-            tried_mask |= 1 << w
+                if adj[z] & ~(1 << w) == adj[w] & ~(1 << z):
+                    swap = list(range(n))
+                    swap[z], swap[w] = w, z
+                    autos.append(tuple(swap))
+                    continue
+            tried.append(w)
             nc = [2 * c + 1 for c in colors]
             nc[w] -= 1
-            fixed.append(w)
-            descend(_refine(n, adj, nc), fixed)
-            fixed.pop()
+            path.append(w)
+            level = descend(_refine(plan, nc))
+            path.pop()
+            if level < depth:
+                break
+        else:
+            level = depth
+        return level
 
-    descend(base, [])
-    assert best_rows is not None and best_perm is not None
+    descend(base)
+    assert best_rows is not None
     return CanonicalForm(_raw(n, best_rows), tuple(best_perm), tuple(autos))
 
 

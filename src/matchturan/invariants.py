@@ -1,9 +1,11 @@
 """Exact graph invariants: clique counts, chromatic number, matching number,
 and matching-duality certificates.
 
-Everything here is exhaustive and exact; the algorithms are tuned for the
-desk-scale graphs (n <= ~10 for searches, n <= 64 for structured
-constructions) that the rest of the package produces.
+Everything here is exact.  The matching number is polynomial (Edmonds'
+blossom algorithm); clique counting and the chromatic number are
+branch-and-bound searches, and the Tutte-Berge certificate is an exhaustive
+search over vertex sets, tuned for the desk-scale graphs the rest of the
+package produces.
 """
 
 from __future__ import annotations
@@ -120,47 +122,91 @@ def _colorable(g: Graph, order: list[int], k: int) -> bool:
 
 
 def matching_number(g: Graph) -> int:
-    """Maximum matching size, by memoized branch and bound over the set of
-    still-available vertices.  No blossom machinery: exponential worst case,
-    fine at this scale."""
-    adj = g.adj
-    memo: dict[int, int] = {}
-
-    def rec(avail: int) -> int:
-        m = avail
-        v = -1
-        while m:
-            b = m & -m
-            c = b.bit_length() - 1
-            if adj[c] & avail:
-                v = c
-                break
-            m ^= b
-        if v < 0:
-            return 0
-        cached = memo.get(avail)
-        if cached is not None:
-            return cached
-        cap = avail.bit_count() // 2
-        best = 0
-        nb = adj[v] & avail
-        rest = avail & ~(1 << v)
-        while nb:
-            b = nb & -nb
-            nb ^= b
-            val = 1 + rec(rest & ~b)
-            if val > best:
-                best = val
-                if best == cap:
+    """Maximum matching size, by Edmonds' cardinality blossom algorithm
+    (J. Edmonds, Paths, trees, and flowers, 1965): a greedy matching, then
+    one alternating-tree search per free vertex, contracting odd cycles
+    (blossoms) to their base; O(n^3)."""
+    n = g.n
+    nbrs = [list(_bits(row)) for row in g.adj]
+    mate = [-1] * n
+    for v in range(n):
+        if mate[v] < 0:
+            for u in nbrs[v]:
+                if mate[u] < 0:
+                    mate[v], mate[u] = u, v
                     break
-        if best < cap:
-            val = rec(rest)  # v left unmatched
-            if val > best:
-                best = val
-        memo[avail] = best
-        return best
+    size = sum(1 for v in range(n) if mate[v] > v)
+    for root in range(n):
+        if n - 2 * size < 2:
+            break  # an augmenting path joins two free vertices
+        if mate[root] < 0 and _augment(nbrs, mate, root):
+            size += 1
+    return size
 
-    return rec((1 << g.n) - 1)
+
+def _augment(nbrs: list[list[int]], mate: list[int], root: int) -> bool:
+    # grow an alternating tree from the free vertex root; on reaching a free
+    # vertex, flip the path to it and return True
+    n = len(mate)
+    base = list(range(n))  # the base of the blossom holding each vertex
+    parent = [-1] * n  # tree parent of each inner (odd) vertex
+    outer = [False] * n  # in the tree at even distance from root
+    outer[root] = True
+    queue = [root]
+
+    def common_base(a: int, b: int) -> int:
+        # the lowest even tree vertex on both paths to root
+        seen = [False] * n
+        while True:
+            a = base[a]
+            seen[a] = True
+            if mate[a] < 0:
+                break
+            a = parent[mate[a]]
+        while not seen[base[b]]:
+            b = parent[mate[base[b]]]
+        return base[b]
+
+    def mark(v: int, top: int, child: int, blossom: list[bool]) -> None:
+        # walk from v down to the blossom base top, re-pointing parents so
+        # that every vertex of the cycle can reach root alternately
+        while base[v] != top:
+            blossom[base[v]] = blossom[base[mate[v]]] = True
+            parent[v] = child
+            child = mate[v]
+            v = parent[mate[v]]
+
+    head = 0
+    while head < len(queue):
+        v = queue[head]
+        head += 1
+        for u in nbrs[v]:
+            if base[v] == base[u] or mate[v] == u:
+                continue
+            if u == root or (mate[u] >= 0 and parent[mate[u]] >= 0):
+                # an edge between two outer vertices closes a blossom
+                top = common_base(v, u)
+                blossom = [False] * n
+                mark(v, top, u, blossom)
+                mark(u, top, v, blossom)
+                for x in range(n):
+                    if blossom[base[x]]:
+                        base[x] = top
+                        if not outer[x]:
+                            outer[x] = True
+                            queue.append(x)
+            elif parent[u] < 0:
+                parent[u] = v
+                if mate[u] < 0:
+                    while u >= 0:  # flip the augmenting path root .. u
+                        v = parent[u]
+                        w = mate[v]
+                        mate[u], mate[v] = v, u
+                        u = w
+                    return True
+                outer[mate[u]] = True
+                queue.append(mate[u])
+    return False
 
 
 def is_msplus1_free(g: Graph, s: int) -> bool:

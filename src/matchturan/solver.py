@@ -29,7 +29,7 @@ from .graphs import (
     CanonicalForm,
     Graph,
     _raw,
-    _refine,
+    _unit_refinement,
     canonical_form,
     from_graph6,
     to_graph6,
@@ -174,7 +174,7 @@ def _top_class(
     for a in range(n):
         if above >> a & 1 and adj[a] & above:
             return None
-    colors = _refine(n, adj, [0] * n)
+    _, colors = _unit_refinement(n, adj)
     cu, cv = colors[u], colors[v]
     top = (cu, cv) if cu < cv else (cv, cu)
     out = []
@@ -242,13 +242,18 @@ def enumerate_free(
 ) -> Iterator[Graph]:
     """Yield exactly one representative per isomorphism class of
     family-free n-vertex graphs, in deterministic order (by edge count,
-    then canonical adjacency)."""
+    then canonical adjacency).  The arguments are checked at the call, not
+    at the first next()."""
     if n < 0:
         raise ValueError(f"vertex count must be >= 0, got {n}")
     validate_workers(workers, "workers argument")
     limit = resolve_ceiling(family, ceiling)
     if n > limit:
         raise CeilingError(f"n={n} exceeds enumeration ceiling {limit}")
+    return _enumerate(n, family, workers)
+
+
+def _enumerate(n: int, family: GraphFamily, workers: int) -> Iterator[Graph]:
     reduced = minimalize(family)
     if any(m.edge_count() == 0 and m.n <= n for m in reduced):
         return  # an edgeless member embeds into every n-vertex graph

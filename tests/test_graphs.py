@@ -1,13 +1,17 @@
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
 
 from matchturan.containment import GraphFamily
 from matchturan.graphs import (
+    CanonicalForm,
     Graph,
     Graph6Error,
     GraphCapacityError,
+    _permuted_rows,
+    _raw,
     add_edge,
     canonical_form,
     canonical_key,
@@ -195,6 +199,156 @@ def test_automorphism_generators_match_brute_force():
                 assert relabel(g, sigma) == g
             group = [p for p in permutations(range(n)) if relabel(g, p) == g]
             assert _closure_orbits(n, cf.automorphisms) == _closure_orbits(n, group)
+
+
+def _oracle_refine(n, adj, colors):
+    # the equitable refinement that canonical_form used before automorphism
+    # pruning: one 1024-bit signature int per vertex
+    while True:
+        sigs = []
+        for v in range(n):
+            acc = colors[v] << 1024
+            m = adj[v]
+            while m:
+                b = m & -m
+                acc += 1 << 7 * colors[b.bit_length() - 1]
+                m ^= b
+            sigs.append(acc)
+        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [ranks[s] for s in sigs]
+        if new == colors:
+            return new
+        colors = new
+
+
+def _oracle_canonical_form(g):
+    """canonical_form before automorphism pruning: the full search tree less
+    the siblings in the orbit of an explored one, recording every
+    automorphism a repeated leaf yields."""
+    n = g.n
+    if n == 0:
+        return CanonicalForm(g, ())
+    adj = g.adj
+    base = _oracle_refine(n, adj, [0] * n)
+
+    best_rows = None
+    best_perm = None
+    leaf_first = {}
+    autos = []
+
+    def record_leaf(colors):
+        nonlocal best_rows, best_perm
+        rows = _permuted_rows(n, adj, colors)
+        if best_rows is None or rows < best_rows:
+            best_rows, best_perm = rows, list(colors)
+        prev = leaf_first.get(rows)
+        if prev is None:
+            leaf_first[rows] = list(colors)
+        else:
+            inv_prev = [0] * n
+            for v, p in enumerate(prev):
+                inv_prev[p] = v
+            sigma = tuple(inv_prev[colors[v]] for v in range(n))
+            if any(sigma[v] != v for v in range(n)) and sigma not in autos:
+                autos.append(sigma)
+
+    def orbit_mask(v, gens):
+        seen = 1 << v
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            for s in gens:
+                y = s[x]
+                if not seen >> y & 1:
+                    seen |= 1 << y
+                    stack.append(y)
+        return seen
+
+    def descend(colors, fixed):
+        cell_of = {}
+        for v in range(n):
+            cell_of.setdefault(colors[v], []).append(v)
+        target = None
+        for c in sorted(cell_of):
+            if len(cell_of[c]) > 1:
+                target = cell_of[c]
+                break
+        if target is None:
+            record_leaf(colors)
+            return
+        tried_mask = 0
+        stab = []
+        stab_upto = 0
+        for w in target:
+            if tried_mask:
+                if stab_upto < len(autos):
+                    stab = [s for s in autos if all(s[f] == f for f in fixed)]
+                    stab_upto = len(autos)
+                if stab and orbit_mask(w, stab) & tried_mask:
+                    continue
+            tried_mask |= 1 << w
+            nc = [2 * c + 1 for c in colors]
+            nc[w] -= 1
+            fixed.append(w)
+            descend(_oracle_refine(n, adj, nc), fixed)
+            fixed.pop()
+
+    descend(base, [])
+    return CanonicalForm(_raw(n, best_rows), tuple(best_perm), tuple(autos))
+
+
+def _assert_same_as_oracle(g):
+    cf, oracle = canonical_form(g), _oracle_canonical_form(g)
+    assert cf.graph.adj == oracle.graph.adj
+    assert cf.permutation == oracle.permutation
+    assert _closure_orbits(g.n, cf.automorphisms) == _closure_orbits(
+        g.n, oracle.automorphisms
+    )
+    for sigma in cf.automorphisms:
+        assert relabel(g, sigma) == g
+
+
+def test_canonical_form_matches_oracle_on_every_small_labelled_graph():
+    for n in range(0, 6):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            _assert_same_as_oracle(graph_from_pair_mask(n, mask))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_canonical_form_matches_oracle_on_relabelled_classes(n):
+    rng = random.Random(n)
+    for rep in enumerate_free(n, GraphFamily()):
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            _assert_same_as_oracle(relabel(rep, perm))
+
+
+def _disjoint_cycles(k, length):
+    g = empty(0)
+    for _ in range(k):
+        g = disjoint_union(g, cycle(length))
+    return g
+
+
+# the symmetric shapes of the benchmark's 64-vertex domain
+_SYMMETRIC = [
+    matching(6), matching(8), star(12), empty(12), cycle(12), cycle(16),
+    turan_graph(12, 3), turan_graph(12, 4), complete_bipartite(6, 6),
+    _disjoint_cycles(3, 5), _disjoint_cycles(4, 5), matching(20), star(32),
+    empty(64), cycle(64), turan_graph(64, 4), complete_bipartite(32, 32),
+    _disjoint_cycles(12, 5),
+]
+
+
+@pytest.mark.parametrize("g", _SYMMETRIC, ids=lambda g: f"n{g.n}e{g.edge_count()}")
+def test_symmetric_shapes_canonicalize_quickly_with_few_generators(g):
+    t0 = time.perf_counter()
+    cf = canonical_form(g)
+    assert time.perf_counter() - t0 < 2.0
+    assert len(cf.automorphisms) <= g.n - 1
+    for sigma in cf.automorphisms:
+        assert relabel(g, sigma) == g
 
 
 def test_canonical_form_is_dict_key():

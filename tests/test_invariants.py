@@ -1,10 +1,12 @@
 import random
+import time
 from itertools import combinations
 from math import comb
 
 import pytest
 
 from matchturan.graphs import (
+    Graph,
     complete,
     complete_bipartite,
     cycle,
@@ -14,6 +16,7 @@ from matchturan.graphs import (
     graph_from_pair_mask,
     matching,
     path,
+    relabel,
     star,
     turan_graph,
 )
@@ -150,6 +153,96 @@ def test_matching_number_structured():
     assert matching_number(complete_bipartite(2, 60)) == 2
     assert matching_number(complete(15)) == 7
     assert matching_number(turan_graph(9, 3)) == 4
+
+
+def _oracle_matching_number(g):
+    """The memoized search matching_number used before the blossom:
+    exponential, exact."""
+    adj = g.adj
+    memo = {}
+
+    def rec(avail):
+        m = avail
+        v = -1
+        while m:
+            b = m & -m
+            c = b.bit_length() - 1
+            if adj[c] & avail:
+                v = c
+                break
+            m ^= b
+        if v < 0:
+            return 0
+        cached = memo.get(avail)
+        if cached is not None:
+            return cached
+        cap = avail.bit_count() // 2
+        best = 0
+        nb = adj[v] & avail
+        rest = avail & ~(1 << v)
+        while nb:
+            b = nb & -nb
+            nb ^= b
+            val = 1 + rec(rest & ~b)
+            if val > best:
+                best = val
+                if best == cap:
+                    break
+        if best < cap:
+            val = rec(rest)  # v left unmatched
+            if val > best:
+                best = val
+        memo[avail] = best
+        return best
+
+    return rec((1 << g.n) - 1)
+
+
+def test_blossom_matches_oracle_on_small_graphs():
+    for n in range(0, 6):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            g = graph_from_pair_mask(n, mask)
+            assert matching_number(g) == _oracle_matching_number(g)
+    # the matching number is an isomorphism invariant: one relabelled
+    # representative per class covers every graph on 6 and 7 vertices
+    rng = random.Random(6)
+    for n in (6, 7):
+        for rep in enumerate_free(n, GraphFamily()):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = relabel(rep, perm)
+            assert matching_number(g) == _oracle_matching_number(g)
+
+
+def test_blossom_matches_oracle_on_random_graphs():
+    rng = random.Random(8)
+    for _ in range(400):
+        n = rng.randrange(1, 11)
+        g = graph_from_pair_mask(n, rng.randrange(1 << (n * (n - 1) // 2)))
+        assert matching_number(g) == _oracle_matching_number(g)
+
+
+def _random_graph(rng, n, p):
+    return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+
+
+def test_blossom_matches_networkx_up_to_64_vertices():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(64)
+    for _ in range(150):
+        n = rng.randrange(1, 65)
+        g = _random_graph(rng, n, rng.choice([0.02, 0.05, 3 / n, 0.1, 0.3, 0.7]))
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges())
+        assert matching_number(g) == len(nx.max_weight_matching(h, maxcardinality=True))
+
+
+def test_matching_number_is_fast_on_sparse_40_vertex_graphs():
+    g = _random_graph(random.Random(40), 40, 0.1)
+    t0 = time.perf_counter()
+    matching_number(g)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_is_msplus1_free():

@@ -264,6 +264,18 @@ def test_invalid_workers_are_rejected(capsys):
         assert "--workers" in capsys.readouterr().err
 
 
+def test_arguments_are_checked_at_the_call():
+    # no next(): a bad argument must raise before the generator is resumed
+    with pytest.raises(ValueError, match="vertex count"):
+        enumerate_free(-1, GraphFamily())
+    with pytest.raises(ValueError, match="workers argument"):
+        enumerate_free(3, GraphFamily(), workers=0)
+    with pytest.raises(CeilingError):
+        enumerate_free(10, GraphFamily([path(6)]))
+    with pytest.raises(ValueError, match="ceiling argument"):
+        enumerate_free(3, GraphFamily(), ceiling=0)
+
+
 def test_profile_pentagon():
     prof = ex_profile(cycle(5), 3, 4)
     assert prof.points == ((1, 0), (2, 1), (3, 0), (4, 0))
