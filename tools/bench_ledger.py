@@ -1,15 +1,16 @@
 """Before/after benchmark ledger: the parent commit against the working tree.
 
-    python3 tools/bench_ledger.py --out BENCH_7.json
-    python3 tools/bench_ledger.py --parent HEAD~1 --pairs 5 --seconds 30 --out BENCH_7.json
+    python3 tools/bench_ledger.py --parent HEAD~1 --out BENCH_7.json
 
 Run it from the root of a git checkout.  It exports the parent commit with
 `git archive` into a scratch directory (no worktree is registered in .git),
 byte-compiles both trees with `compileall` (so that neither pays for
-compiling in every fresh interpreter), then runs `perfbench/run.py
---trace 0` on every workload, alternating between the two trees and
-swapping which goes first on every other pair.  Each tree runs its own
-copy of perfbench/, which checks its CLI payloads against its golden files.
+compiling in every fresh interpreter), then runs ten pairs of
+`perfbench/run.py` runs on every workload, one seed per pair, alternating
+between the two trees and swapping which goes first on every other pair.
+run.py's own defaults set the run length and the (untraced) mode.  Each
+tree runs its own copy of perfbench/, which checks its CLI payloads
+against its golden files.
 
 It also times `graphs.canonical_form` and `invariants.matching_number`
 call by call on the domain-64 corpus at seed 1, each call under the
@@ -38,6 +39,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ["enum-matching", "verify-grid", "domain-64"]
 METRICS = ["setup_s", "wall_s", "cpu_s", "peak_rss_mb", "ok_share"]
+PAIRS = 10  # parent/change run pairs per workload
+SEED = 701  # seed of the first pair; pair i runs seed SEED + i
 
 # runs inside each tree's interpreter: per-call times on the domain-64 corpus
 MICRO = r"""
@@ -109,10 +112,9 @@ def compile_tree(tree: Path) -> None:
     )
 
 
-def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench(tree: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
         cwd=tree, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -168,9 +170,6 @@ def wins(parent: list, change: list) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--pairs", type=int, default=3, help="parent/change run pairs per workload")
-    parser.add_argument("--seconds", type=float, default=30.0, help="--seconds of each run.py run")
-    parser.add_argument("--seed", type=int, default=701, help="seed of the first pair")
     parser.add_argument("--out", default="BENCH_7.json")
     args = parser.parse_args()
 
@@ -184,11 +183,11 @@ def main() -> int:
         for tree in trees.values():
             compile_tree(tree)
         runs: dict = {w: {"parent": [], "change": []} for w in WORKLOADS}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for workload in WORKLOADS:
                 for side in order:
-                    run = bench(trees[side], workload, args.seed + i, args.seconds)
+                    run = bench(trees[side], workload, SEED + i)
                     runs[workload][side].append(run)
                     print(f"pair {i} {workload} {side}: correct={run['correct']} "
                           f"wall_s={run['metrics'].get('wall_s')}", flush=True)
@@ -203,8 +202,7 @@ def main() -> int:
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "settings": {"pairs": args.pairs, "seconds": args.seconds,
-                     "seeds": [args.seed + i for i in range(args.pairs)],
+        "settings": {"pairs": PAIRS, "seeds": [SEED + i for i in range(PAIRS)],
                      "order": "parent first on even pairs, change first on odd pairs"},
         "workloads": {
             w: {
