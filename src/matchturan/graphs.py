@@ -535,29 +535,18 @@ def from_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"expected {(need + 5) // 6} edge-bit characters, got {len(body)}"
         )
+    stream = "".join(format(chunk, "06b") for chunk in body)
+    if "1" in stream[need:]:
+        raise Graph6Error(f"nonzero padding bits in {text!r}")
+    # the same column-major walk of the upper triangle as to_graph6
+    bits = iter(stream)
     rows = [0] * n
-    k = 0
-    for chunk in body:
-        for shift in (5, 4, 3, 2, 1, 0):
-            bit = chunk >> shift & 1
-            if k < need:
-                if bit:
-                    # k-th pair in column-major order
-                    i, j = _pair_at(k)
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-            elif bit:
-                raise Graph6Error(f"nonzero padding bits in {text!r}")
-            k += 1
+    for j in range(1, n):
+        for i in range(j):
+            if next(bits) == "1":
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
     return _raw(n, rows)
-
-
-def _pair_at(k: int) -> tuple[int, int]:
-    # inverse of the column-major enumeration (0,1),(0,2),(1,2),(0,3),...
-    j = 1
-    while j * (j + 1) // 2 <= k:
-        j += 1
-    return (k - j * (j - 1) // 2, j)
 
 
 def read_graph6_lines(lines: Iterable[str]) -> list[Graph]:

@@ -11,7 +11,11 @@ pruning is exact), and a child is kept only when the new edge is
 equivalent to its canonical edge, so every class is produced once, with one
 canonical labelling, and no set is needed.  Each level is sorted by
 canonical adjacency, so the stream - and everything derived from it - is
-deterministic, with or without workers.
+deterministic, with or without workers.  With workers > 1, a level of at
+least PARENTS_PER_WORKER parents per worker is split across a forked pool
+that lives for that one level: no worker exists while the generator waits
+at a yield, and narrower levels run inline, where a fork costs more than
+it saves.
 """
 
 from __future__ import annotations
@@ -38,6 +42,11 @@ from .invariants import count_cliques
 
 HARD_CEILING = 10
 ENV_CEILING = "MATCHTURAN_CEILING"
+# parents per worker a level needs before it forks a pool.  The widest levels
+# of `verify-grid` (20 parents) and `ex --n 9 --forbid M3` (25) stay serial
+# at two workers (so >= 13); the empty family's widest at n = 7 (148) still
+# forks at eight (so <= 18).
+PARENTS_PER_WORKER = 16
 
 
 class CeilingError(ValueError):
@@ -259,28 +268,21 @@ def _enumerate(n: int, family: GraphFamily, workers: int) -> Iterator[Graph]:
         return  # an edgeless member embeds into every n-vertex graph
     member_rows = [(m.adj, _matching_size(m)) for m in reduced if m.n <= n]
 
-    pool = None
-    try:
-        level = [_labelled(canonical_form(_raw(n, [0] * n)))]
-        while level:
-            for rows, _ in level:
-                yield _raw(n, rows)
-            if workers > 1 and len(level) >= 4 * workers:
-                if pool is None:
-                    pool = get_context("fork").Pool(workers)
-                chunk = (len(level) + workers - 1) // workers
+    level = [_labelled(canonical_form(_raw(n, [0] * n)))]
+    while level:
+        for rows, _ in level:
+            yield _raw(n, rows)
+        if workers > 1 and len(level) >= PARENTS_PER_WORKER * workers:
+            chunk = (len(level) + workers - 1) // workers
+            with get_context("fork").Pool(workers) as pool:
                 parts = pool.starmap(
                     _expand_parents,
                     [(n, level[i : i + chunk], member_rows) for i in range(0, len(level), chunk)],
                 )
-                level = [kid for part in parts for kid in part]
-            else:
-                level = _expand_parents(n, level, member_rows)
-            level.sort()
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+            level = [kid for part in parts for kid in part]
+        else:
+            level = _expand_parents(n, level, member_rows)
+        level.sort()
 
 
 @dataclass(frozen=True)

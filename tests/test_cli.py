@@ -67,6 +67,24 @@ def test_cmd_ex_writes_report(tmp_path, capsys):
     assert "elapsed_sec" in data and "elapsed_sec" not in data["payload"]
 
 
+def test_cmd_ex_forbid_file_matches_forbid(tmp_path, capsys):
+    corpus = tmp_path / "family.g6"
+    corpus.write_text(
+        f"# M3 and K4\n{to_graph6(matching(3))}\n{to_graph6(complete(4))}  # K4\n"
+    )
+    reports = {}
+    for name, source in (("file", ["--forbid-file", str(corpus)]),
+                         ("tokens", ["--forbid", "M3,K4"])):
+        out = tmp_path / name
+        assert main(["ex", "--n", "7", "--r", "3", *source, "--out", str(out)]) == 0
+        reports[name] = json.loads((out / "ex.json").read_text())["payload"]
+    capsys.readouterr()
+    by_file, by_tokens = reports["file"], reports["tokens"]
+    assert by_file["family"] == f"file:{corpus}"
+    for key in ("value", "witnesses", "enumerated_classes"):
+        assert by_file[key] == by_tokens[key], key
+
+
 def test_cmd_family(tmp_path, capsys):
     assert main(["family", "--graph", "C5", "--p", "2", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import multiprocessing
 import random
 from itertools import permutations
 
@@ -105,12 +106,34 @@ def test_stream_matches_dedup_oracle(name):
 
 
 def test_pool_forks_only_for_wide_levels(monkeypatch):
-    def no_pool(method):
-        raise AssertionError("pool forked for a narrow enumeration")
+    real_get_context = matchturan.solver.get_context
+    forks = []
 
-    monkeypatch.setattr(matchturan.solver, "get_context", no_pool)
-    fam = GraphFamily([matching(3), complete(4)])
-    assert sum(1 for _ in enumerate_free(3, fam, workers=2)) == 4
+    def counting_get_context(method):
+        forks.append(method)
+        return real_get_context(method)
+
+    monkeypatch.setattr(matchturan.solver, "get_context", counting_get_context)
+
+    # verify-grid-sized enumerations stay inline at two workers
+    m3k4 = GraphFamily([matching(3), complete(4)])
+    assert sum(1 for _ in enumerate_free(3, m3k4, workers=2)) == 4
+    for n, fam in ((9, GraphFamily([matching(3)])), (8, m3k4)):
+        assert sum(1 for _ in enumerate_free(n, fam, workers=2)) > 0
+    assert forks == []
+
+    # the empty family at n = 7 is wide enough to fork at up to eight
+    # workers, and the pooled stream is the serial one
+    serial = [g.adj for g in enumerate_free(7, GraphFamily())]
+    for workers in (2, 4, 8):
+        forks.clear()
+        got = [g.adj for g in enumerate_free(7, GraphFamily(), workers=workers)]
+        assert got == serial, workers
+        assert forks, workers
+
+    # a pool lives for one level: no worker is alive at any yield
+    for _ in enumerate_free(7, GraphFamily(), workers=2):
+        assert multiprocessing.active_children() == []
 
 
 def test_enumerate_counts_against_labelled_dedup():

@@ -1,8 +1,9 @@
 """Before/after benchmark ledger: the parent commit against the working tree.
 
-    python3 tools/bench_ledger.py --parent HEAD~1 --out BENCH_7.json
+    python3 tools/bench_ledger.py --parent <branch point> --out BENCH_<pr>.json
 
-Run it from the root of a git checkout.  It exports the parent commit with
+Run it from the root of a git checkout, with the change committed.  `--out`
+is required, so that no run overwrites an earlier change's ledger.  It exports the parent commit with
 `git archive` into a scratch directory (no worktree is registered in .git),
 byte-compiles both trees with `compileall` (so that neither pays for
 compiling in every fresh interpreter), then runs ten pairs of
@@ -170,7 +171,7 @@ def wins(parent: list, change: list) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--out", default="BENCH_7.json")
+    parser.add_argument("--out", required=True, help="ledger file to write")
     args = parser.parse_args()
 
     work = ROOT / ".bench_ledger"
