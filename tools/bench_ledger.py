@@ -3,12 +3,13 @@
     python3 tools/bench_ledger.py --parent <branch point> --out BENCH_<pr>.json
 
 Run it from the root of a git checkout, with the change committed.  `--out`
-is required, so that no run overwrites an earlier change's ledger.  It exports the parent commit with
-`git archive` into a scratch directory (no worktree is registered in .git),
-byte-compiles both trees with `compileall` (so that neither pays for
-compiling in every fresh interpreter), then runs ten pairs of
-`perfbench/run.py` runs on every workload, one seed per pair, alternating
-between the two trees and swapping which goes first on every other pair.
+is required, so that no run overwrites an earlier change's ledger.  It
+exports the parent commit with `git archive` into a scratch directory (no
+worktree is registered in .git), byte-compiles both trees with
+`compileall` (so that neither pays for compiling in every fresh
+interpreter), then runs ten pairs of `perfbench/run.py` runs on every
+workload, one seed per pair, alternating between the two trees and
+swapping which goes first on every other pair.
 run.py's own defaults set the run length and the (untraced) mode.  Each
 tree runs its own copy of perfbench/, which checks its CLI payloads
 against its golden files.
