@@ -56,6 +56,7 @@ from .graphs import (
 )
 from .invariants import (
     TutteBergeCertificate,
+    TutteBergeLimitError,
     chromatic_number,
     clique_number,
     connected_components,

@@ -272,62 +272,56 @@ class CanonicalForm:
         return f"CanonicalForm({self.graph!r}, perm={self.permutation})"
 
 
-# 1 << 7c for every colour that _refine can see (individualisation maps
-# colour c to 2c or 2c + 1)
-_WEIGHT = [1 << 7 * c for c in range(2 * MAX_VERTICES)]
+def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
+    """Equitable refinement of an ordered partition (vertex masks, cell i of
+    colour i): each round gives a vertex the rank of (colour, neighbour
+    counts per colour from the highest colour down) until no cell splits.
+    Vertices of one cell have equal counts to every cell that did not split
+    in the previous round, so they are keyed only by their counts to the
+    cells that did (`splitters`: the root cell, or the two halves of an
+    individualised cell), singletons not at all, with unchanged colours."""
+    while splitters:
+        masks = [cells[i] for i in reversed(splitters)]  # highest colour first
+        new: list[int] = []
+        split: list[int] = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                new.append(cell)
+                continue
+            groups: dict[int, int] = {}
+            for v in _bits(cell):
+                key = 0
+                for s in masks:
+                    key = key << 7 | (adj[v] & s).bit_count()
+                groups[key] = groups.get(key, 0) | 1 << v
+            if len(groups) > 1:
+                split.extend(range(len(new), len(new) + len(groups)))
+            new.extend(groups[key] for key in sorted(groups))
+        cells, splitters = new, split
+    return cells
 
 
-def _refinement_plan(n: int, adj: tuple[int, ...]) -> list[tuple[bool, list[int]]]:
-    # per vertex: whether it counts its non-neighbours (degree above n/2),
-    # and the vertices it counts
-    full = (1 << n) - 1
-    plan = []
-    for v, row in enumerate(adj):
-        dense = 2 * row.bit_count() > n
-        plan.append((dense, list(_bits(full ^ row ^ 1 << v if dense else row))))
-    return plan
+def _colors(n: int, cells: list[int]) -> list[int]:
+    colors = [0] * n
+    for i, cell in enumerate(cells):
+        for v in _bits(cell):
+            colors[v] = i
+    return colors
 
 
-def _refine(plan: list[tuple[bool, list[int]]], colors: list[int]) -> list[int]:
-    # iterate equitable refinement: split cells by (colour, multiset of
-    # neighbour colours), the multiset packed into one int (7 bits per colour
-    # class, counts < 128); a dense vertex packs its non-neighbours and
-    # subtracts them and itself from the whole vertex set
-    n = len(colors)
-    while True:
-        weight = [_WEIGHT[c] for c in colors]
-        total = sum(weight)
-        keys = []
-        for v in range(n):
-            dense, counted = plan[v]
-            packed = sum(map(weight.__getitem__, counted))
-            if dense:
-                packed = total - weight[v] - packed
-            keys.append((colors[v], packed))
-        ranks = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = [ranks[k] for k in keys]
-        if new == colors:
-            return new
-        colors = new
+_last_unit: tuple = ((), [])
 
 
-_last_unit: tuple = ((), [], [])
-
-
-def _unit_refinement(
-    n: int, adj: tuple[int, ...]
-) -> tuple[list[tuple[bool, list[int]]], list[int]]:
-    """The refinement plan of adj and the equitable refinement of its
-    one-cell colouring.  The last answer is kept: the enumerator refines a
-    child and then canonicalizes the same child.  Callers must not mutate
-    the lists."""
+def _unit_refinement(n: int, adj: tuple[int, ...]) -> list[int]:
+    """The equitable refinement of the one-cell colouring of adj, as cells.
+    The last answer is kept: the enumerator refines a child and then
+    canonicalizes the same child.  Callers must not mutate the list."""
     global _last_unit
-    key, plan, colors = _last_unit
+    key, cells = _last_unit
     if key != adj:
-        plan = _refinement_plan(n, adj)
-        colors = _refine(plan, [0] * n)
-        _last_unit = (adj, plan, colors)
-    return plan, colors
+        cells = _refine(adj, [(1 << n) - 1], [0])
+        _last_unit = (adj, cells)
+    return cells
 
 
 def _permuted_rows(n: int, adj: tuple[int, ...], perm: list[int]) -> tuple[int, ...]:
@@ -344,16 +338,17 @@ def _permuted_rows(n: int, adj: tuple[int, ...], perm: list[int]) -> tuple[int, 
 
 
 class _Orbits:
-    """Orbits on a search node's target cell of the automorphisms found so
-    far that fix the node's individualised prefix, as a union-find fed only
-    the automorphisms added since it last looked.  Such an automorphism
-    preserves the node's colouring, so it maps the cell onto itself."""
+    """Orbits of the automorphisms found so far that fix a search node's
+    individualised prefix (a mask), as a union-find fed only the ones added
+    since it last looked.  One fixes the prefix iff its support mask misses
+    it, and needs unions only over its moved vertices; it preserves the
+    node's colouring, so the target cell's orbits stay inside the cell."""
 
     __slots__ = ("parent", "prefix", "seen")
 
-    def __init__(self, cell: list[int], prefix: list[int]):
-        self.parent = {v: v for v in cell}
-        self.prefix = tuple(prefix)
+    def __init__(self, n: int, prefix: int):
+        self.parent = list(range(n))
+        self.prefix = prefix
         self.seen = 0
 
     def find(self, v: int) -> int:
@@ -362,11 +357,11 @@ class _Orbits:
             parent[v] = v = parent[parent[v]]
         return v
 
-    def update(self, autos: list[tuple[int, ...]]) -> None:
-        for s in autos[self.seen :]:
-            if all(s[f] == f for f in self.prefix):
-                for v in self.parent:
-                    a, b = self.find(v), self.find(s[v])
+    def update(self, autos: list[tuple[tuple[int, ...], int, list[int]]]) -> None:
+        for sigma, support, moved in autos[self.seen :]:
+            if not support & self.prefix:
+                for v in moved:
+                    a, b = self.find(v), self.find(sigma[v])
                     if a != b:
                         self.parent[max(a, b)] = min(a, b)
         self.seen = len(autos)
@@ -381,6 +376,11 @@ def canonical_form(g: Graph) -> CanonicalForm:
     read as a relabelling.  The canonical graph is the lexicographic minimum
     of the relabelled adjacency rows over all leaves, and the permutation is
     the first leaf in depth-first order that attains it.
+
+    Refinement (_refine) keys vertices only by their counts to the cells
+    that just split: the root cell, or {w} and c - {w} after individualising
+    w from cell c (colours 2c and 2c + 1 when every vertex is keyed against
+    every cell, as before); it gives the same colours, so the same leaves.
 
     The search skips a subtree only when it is the image, under an
     automorphism that fixes the subtree's individualised prefix, of a
@@ -407,18 +407,18 @@ def canonical_form(g: Graph) -> CanonicalForm:
     if n == 0:
         return CanonicalForm(g, ())
     adj = g.adj
-    plan, base = _unit_refinement(n, adj)
 
     best_rows: tuple[int, ...] | None = None
     best_perm: list[int] = []
     first: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-    autos: list[tuple[int, ...]] = []
+    autos: list[tuple[tuple[int, ...], int, list[int]]] = []
     path: list[int] = []  # the individualised vertices, one per level
 
-    def leaf(colors: list[int]) -> int:
+    def leaf(cells: list[int]) -> int:
         # returns the level at which the search goes on
         nonlocal best_rows, best_perm
         depth = len(path)
+        colors = _colors(n, cells)
         rows = _permuted_rows(n, adj, colors)
         if best_rows is None or rows < best_rows:
             best_rows, best_perm = rows, colors
@@ -431,25 +431,24 @@ def canonical_form(g: Graph) -> CanonicalForm:
         for v, c in enumerate(earlier_colors):
             inv[c] = v
         sigma = tuple(inv[c] for c in colors)  # this leaf onto the earlier one
-        autos.append(sigma)
+        moved = [v for v in range(n) if sigma[v] != v]
+        autos.append((sigma, sum(1 << v for v in moved), moved))
         level = 0
         while path[level] == earlier_path[level]:
             level += 1
         return level
 
-    def descend(colors: list[int]) -> int:
+    def descend(cells: list[int], prefix: int) -> int:
         # explores the subtree; returns the level at which the search goes on
         depth = len(path)
-        cells: dict[int, list[int]] = {}
-        for v in range(n):
-            cells.setdefault(colors[v], []).append(v)
-        cell = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
-        if cell is None:
-            return leaf(colors)
-        orbits = _Orbits(cell, path)
-        z = cell[0]
+        i = next((i for i, c in enumerate(cells) if c & (c - 1)), -1)
+        if i < 0:
+            return leaf(cells)
+        cell = cells[i]
+        orbits = _Orbits(n, prefix)
+        z = (cell & -cell).bit_length() - 1
         tried: list[int] = []
-        for w in cell:
+        for w in _bits(cell):
             if tried:
                 orbits.update(autos)
                 root = orbits.find(w)
@@ -458,13 +457,13 @@ def canonical_form(g: Graph) -> CanonicalForm:
                 if adj[z] & ~(1 << w) == adj[w] & ~(1 << z):
                     swap = list(range(n))
                     swap[z], swap[w] = w, z
-                    autos.append(tuple(swap))
+                    autos.append((tuple(swap), 1 << z | 1 << w, [z, w]))
                     continue
             tried.append(w)
-            nc = [2 * c + 1 for c in colors]
-            nc[w] -= 1
+            b = 1 << w
             path.append(w)
-            level = descend(_refine(plan, nc))
+            split = [*cells[:i], b, cell ^ b, *cells[i + 1 :]]
+            level = descend(_refine(adj, split, [i, i + 1]), prefix | b)
             path.pop()
             if level < depth:
                 break
@@ -472,9 +471,9 @@ def canonical_form(g: Graph) -> CanonicalForm:
             level = depth
         return level
 
-    descend(base)
+    descend(_unit_refinement(n, adj), 0)
     assert best_rows is not None
-    return CanonicalForm(_raw(n, best_rows), tuple(best_perm), tuple(autos))
+    return CanonicalForm(_raw(n, best_rows), tuple(best_perm), tuple(a[0] for a in autos))
 
 
 def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:

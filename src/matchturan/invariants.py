@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .graphs import Graph, _bits
 
@@ -237,6 +238,14 @@ def connected_components(g: Graph, within: int | None = None) -> list[int]:
     return comps
 
 
+TUTTE_BERGE_MAX_SETS = 50_000
+
+
+class TutteBergeLimitError(ValueError):
+    """Raised when the Tutte-Berge scan would visit more than
+    TUTTE_BERGE_MAX_SETS vertex sets (about 0.4 s)."""
+
+
 @dataclass(frozen=True)
 class TutteBergeCertificate:
     """Vertex set B minimizing |B| + sum(floor(|C|/2)) over the components C
@@ -249,8 +258,13 @@ class TutteBergeCertificate:
 
 def tutte_berge_certificate(g: Graph) -> TutteBergeCertificate:
     """Exhaustive search for the minimizing set, by increasing |B| with the
-    cut |B| >= best value; ties broken by lexicographically least B."""
+    cut |B| >= best value; ties broken by lexicographically least B.  It scans
+    every set of at most matching_number(g) vertices, and raises
+    TutteBergeLimitError when they are more than TUTTE_BERGE_MAX_SETS."""
     n = g.n
+    sets = sum(comb(n, k) for k in range(matching_number(g) + 1))
+    if sets > TUTTE_BERGE_MAX_SETS:
+        raise TutteBergeLimitError(f"{sets} vertex sets to scan, over {TUTTE_BERGE_MAX_SETS}")
     full = g.vertex_mask()
     best_val: int | None = None
     best_b: tuple[int, ...] = ()

@@ -32,6 +32,7 @@ from .covering import family_fp, p_of_f
 from .graphs import (
     CanonicalForm,
     Graph,
+    _colors,
     _raw,
     _unit_refinement,
     canonical_form,
@@ -183,7 +184,7 @@ def _top_class(
     for a in range(n):
         if above >> a & 1 and adj[a] & above:
             return None
-    _, colors = _unit_refinement(n, adj)
+    colors = _colors(n, _unit_refinement(n, adj))
     cu, cv = colors[u], colors[v]
     top = (cu, cv) if cu < cv else (cv, cu)
     out = []

@@ -10,8 +10,12 @@ from matchturan.graphs import (
     Graph,
     Graph6Error,
     GraphCapacityError,
+    _Orbits,
+    _bits,
+    _colors,
     _permuted_rows,
     _raw,
+    _refine,
     add_edge,
     canonical_form,
     canonical_key,
@@ -349,6 +353,68 @@ def test_symmetric_shapes_canonicalize_quickly_with_few_generators(g):
     assert len(cf.automorphisms) <= g.n - 1
     for sigma in cf.automorphisms:
         assert relabel(g, sigma) == g
+
+
+def _random_graph(rng, n, p):
+    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def _cells(n, colors):
+    cells = [0] * (max(colors) + 1)
+    for v in range(n):
+        cells[colors[v]] |= 1 << v
+    return cells
+
+
+def test_refine_matches_oracle_colour_for_colour():
+    # at the root, then after individualising each vertex of the first
+    # non-singleton cell, following the first child 3 levels deep
+    rng = random.Random(64)
+    densities = [0.05, 0.25, 0.5, 0.75, 0.95]
+    graphs = [_random_graph(rng, n, densities[n % 5]) for n in range(1, 65, 3)]
+    for g in graphs + _SYMMETRIC:
+        n, adj = g.n, g.adj
+        colors = _oracle_refine(n, adj, [0] * n)
+        assert _colors(n, _refine(adj, [(1 << n) - 1], [0])) == colors
+        for _ in range(3):
+            cells = _cells(n, colors)
+            i = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
+            if i is None:
+                break
+            children = []
+            for w in _bits(cells[i]):
+                nc = [2 * c + 1 for c in colors]
+                nc[w] -= 1
+                b = 1 << w
+                split = [*cells[:i], b, cells[i] ^ b, *cells[i + 1 :]]
+                child = _colors(n, _refine(adj, split, [i, i + 1]))
+                assert child == _oracle_refine(n, adj, nc), (g, w)
+                children.append(child)
+            colors = children[0]
+
+
+def test_orbits_follow_only_automorphisms_that_fix_the_prefix():
+    # vertex 0 individualised: (0 1)(2 3) moves it and is ignored; the
+    # orbits of (1 2)(3 4), fed in a second update, are {1, 2} and {3, 4}
+    orbits = _Orbits(5, 1 << 0)
+    autos = [((1, 0, 3, 2, 4), 0b01111, [0, 1, 2, 3])]
+    orbits.update(autos)
+    assert [orbits.find(v) for v in range(5)] == [0, 1, 2, 3, 4]
+    autos.append(((0, 2, 1, 4, 3), 0b11110, [1, 2, 3, 4]))
+    orbits.update(autos)
+    assert [orbits.find(v) for v in range(5)] == [0, 1, 1, 3, 3]
+
+
+@pytest.mark.parametrize("n", range(12, 65))
+def test_canonical_form_matches_oracle_on_sparse_random_graphs(n):
+    _assert_same_as_oracle(_random_graph(random.Random(n), n, 3 / n))
+
+
+@pytest.mark.parametrize(
+    "g", [g for g in _SYMMETRIC if g.n <= 20], ids=lambda g: f"n{g.n}e{g.edge_count()}"
+)
+def test_canonical_form_matches_oracle_on_symmetric_shapes(g):
+    _assert_same_as_oracle(g)
 
 
 def test_canonical_form_is_dict_key():

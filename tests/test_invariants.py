@@ -21,6 +21,8 @@ from matchturan.graphs import (
     turan_graph,
 )
 from matchturan.invariants import (
+    TUTTE_BERGE_MAX_SETS,
+    TutteBergeLimitError,
     chromatic_number,
     clique_number,
     connected_components,
@@ -284,6 +286,18 @@ def test_tutte_berge_tie_break_deterministic():
     assert cert == tutte_berge_certificate(g)
     assert cert.value == 2 == matching_number(g)
     assert cert.b == (0,)  # lexicographically least among the minimizers
+
+
+def test_tutte_berge_refuses_a_long_scan_quickly():
+    # G(20, 0.3): the scan over every set of at most nu vertices took ~5 s
+    rng = random.Random(20)
+    g = Graph(20, [e for e in combinations(range(20), 2) if rng.random() < 0.3])
+    sets = sum(comb(20, k) for k in range(matching_number(g) + 1))
+    assert sets > TUTTE_BERGE_MAX_SETS
+    t0 = time.perf_counter()
+    with pytest.raises(TutteBergeLimitError, match=f"^{sets} vertex sets to scan"):
+        tutte_berge_certificate(g)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_split_construction_is_matching_bounded():
