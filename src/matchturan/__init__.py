@@ -55,6 +55,7 @@ from .graphs import (
     turan_graph,
 )
 from .invariants import (
+    ChromaticLimitError,
     TutteBergeCertificate,
     TutteBergeLimitError,
     chromatic_number,

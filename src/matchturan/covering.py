@@ -112,7 +112,8 @@ def p_of_f(f: Graph) -> int | float:
 
 
 def is_color_critical(f: Graph) -> bool:
-    """True iff deleting some single edge lowers the chromatic number."""
+    """True iff deleting some single edge lowers the chromatic number.
+    ChromaticLimitError from any of its chromatic_number calls propagates."""
     edges = list(f.edges())
     if not edges:
         return False

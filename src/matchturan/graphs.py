@@ -272,32 +272,73 @@ class CanonicalForm:
         return f"CanonicalForm({self.graph!r}, perm={self.permutation})"
 
 
+def _count_planes(adj: tuple[int, ...], f: int) -> list[int]:
+    """Bit-sliced |N(v) & f|, a carry chain per row: bit v of planes[i] is bit i."""
+    planes: list[int] = []
+    for v in _bits(f):
+        carry = adj[v]
+        for i, p in enumerate(planes):
+            planes[i] = p ^ carry
+            carry &= p
+            if not carry:
+                break
+        else:
+            planes.append(carry)
+    return planes
+
+
 def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
     """Equitable refinement of an ordered partition (vertex masks, cell i of
     colour i): each round gives a vertex the rank of (colour, neighbour
     counts per colour from the highest colour down) until no cell splits.
-    Vertices of one cell have equal counts to every cell that did not split
-    in the previous round, so they are keyed only by their counts to the
-    cells that did (`splitters`: the root cell, or the two halves of an
-    individualised cell), singletons not at all, with unchanged colours."""
-    while splitters:
-        masks = [cells[i] for i in reversed(splitters)]  # highest colour first
+    `splitters` index the fragments of one earlier cell (the root, or {w}
+    and c - {w}).  Every cell has equal counts to each cell of the previous
+    round, so in a group of fragments of a cell that split, the lowest
+    colour's count is implied, and the largest one's is the complement of
+    the count to the fragments below it (those above are uniform there); the
+    root's one fragment is counted.  Bit-planes of a count split a cell high
+    bit first, clear before set."""
+    groups = [[cells[i] for i in splitters]]
+    while groups:
+        masks: list[int] = []  # highest colour first
+        for frags in reversed(groups):
+            k = len(frags)
+            if k == 1:
+                masks += reversed(_count_planes(adj, frags[0]))
+                continue
+            if k == 2:
+                big = frags[1].bit_count() >= frags[0].bit_count()
+            else:
+                big = max(range(k), key=lambda i: frags[i].bit_count())
+            for j in range(k - 1, 0, -1):
+                flip = -(j == big)  # -1: complement
+                f = sum(frags[:j]) if flip else frags[j]
+                if f & (f - 1):
+                    masks += [p ^ flip for p in reversed(_count_planes(adj, f))]
+                else:
+                    masks.append(adj[f.bit_length() - 1] ^ flip)
         new: list[int] = []
-        split: list[int] = []
+        groups = []
         for cell in cells:
             if not cell & (cell - 1):
                 new.append(cell)
                 continue
-            groups: dict[int, int] = {}
-            for v in _bits(cell):
-                key = 0
-                for s in masks:
-                    key = key << 7 | (adj[v] & s).bit_count()
-                groups[key] = groups.get(key, 0) | 1 << v
-            if len(groups) > 1:
-                split.extend(range(len(new), len(new) + len(groups)))
-            new.extend(groups[key] for key in sorted(groups))
-        cells, splitters = new, split
+            parts = None
+            for m in masks:
+                if parts is None:
+                    hi = cell & m
+                    if hi and hi != cell:
+                        parts = [cell ^ hi, hi]
+                    continue
+                out = []
+                for part in parts:
+                    hi = part & m
+                    out += (part ^ hi, hi) if hi and hi != part else (part,)
+                parts = out
+            new += parts or (cell,)
+            if parts:
+                groups.append(parts)
+        cells = new
     return cells
 
 
@@ -377,10 +418,9 @@ def canonical_form(g: Graph) -> CanonicalForm:
     of the relabelled adjacency rows over all leaves, and the permutation is
     the first leaf in depth-first order that attains it.
 
-    Refinement (_refine) keys vertices only by their counts to the cells
-    that just split: the root cell, or {w} and c - {w} after individualising
-    w from cell c (colours 2c and 2c + 1 when every vertex is keyed against
-    every cell, as before); it gives the same colours, so the same leaves.
+    Refinement (_refine) gives the colours of keying every vertex by its
+    counts to every cell ({w} and c - {w} as colours 2c and 2c + 1), so the
+    same leaves, but counts bit-sliced and skips the implied counts.
 
     The search skips a subtree only when it is the image, under an
     automorphism that fixes the subtree's individualised prefix, of a

@@ -66,9 +66,19 @@ def clique_number(g: Graph) -> int:
     return best
 
 
+CHROMATIC_MAX_NODES = 60_000
+
+
+class ChromaticLimitError(ValueError):
+    """Raised when chromatic_number's colouring backtracking passes
+    CHROMATIC_MAX_NODES search nodes (about 0.15 s)."""
+
+
 def chromatic_number(g: Graph) -> int:
     """Exact chromatic number via branch and bound: clique lower bound,
-    greedy upper bound, then k-colourability backtracking in between."""
+    greedy upper bound, then k-colourability backtracking in between.
+    Raises ChromaticLimitError when the backtracking, over every k, passes
+    CHROMATIC_MAX_NODES search nodes (G(45, 1/2) needs about 200,000)."""
     if g.n == 0:
         return 0
     if all(row == 0 for row in g.adj):
@@ -76,8 +86,9 @@ def chromatic_number(g: Graph) -> int:
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     lower = clique_number(g)
     upper = _greedy_colors(g, order)
+    nodes = [0]  # search nodes so far, over every k
     for k in range(lower, upper):
-        if _colorable(g, order, k):
+        if _colorable(g, order, k, nodes):
             return k
     return upper
 
@@ -98,25 +109,26 @@ def _greedy_colors(g: Graph, order: list[int]) -> int:
     return used
 
 
-def _colorable(g: Graph, order: list[int], k: int) -> bool:
-    color = [-1] * g.n
+def _colorable(g: Graph, order: list[int], k: int, nodes: list[int]) -> bool:
+    classes = [0] * k  # vertex mask per colour
 
     def rec(i: int, used: int) -> bool:
+        nodes[0] += 1
+        if nodes[0] > CHROMATIC_MAX_NODES:
+            raise ChromaticLimitError(
+                f"{nodes[0]} colouring search nodes at k={k}, over {CHROMATIC_MAX_NODES}"
+            )
         if i == g.n:
             return True
         v = order[i]
-        taken = 0
-        for u in _bits(g.adj[v]):
-            if color[u] >= 0:
-                taken |= 1 << color[u]
         # trying more than one fresh colour only relabels the palette
         for c in range(min(k, used + 1)):
-            if taken >> c & 1:
+            if g.adj[v] & classes[c]:
                 continue
-            color[v] = c
+            classes[c] |= 1 << v
             if rec(i + 1, max(used, c + 1)):
                 return True
-        color[v] = -1
+            classes[c] ^= 1 << v
         return False
 
     return rec(0, 0)

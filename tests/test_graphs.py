@@ -13,6 +13,7 @@ from matchturan.graphs import (
     _Orbits,
     _bits,
     _colors,
+    _count_planes,
     _permuted_rows,
     _raw,
     _refine,
@@ -391,6 +392,45 @@ def test_refine_matches_oracle_colour_for_colour():
                 assert child == _oracle_refine(n, adj, nc), (g, w)
                 children.append(child)
             colors = children[0]
+
+
+def test_count_planes_are_bit_sliced_neighbour_counts():
+    rng = random.Random(11)
+    for n in range(1, 65):
+        g = _random_graph(rng, n, rng.random())
+        for f in (0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(4))):
+            planes = _count_planes(g.adj, f)
+            for v in range(n):
+                count = sum((p >> v & 1) << i for i, p in enumerate(planes))
+                assert count == (g.adj[v] & f).bit_count(), (g, f, v)
+
+
+def _degree_cells(n, adj):
+    return [c for c in _cells(n, [adj[v].bit_count() for v in range(n)]) if c]
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_refine_matches_oracle_on_groups_of_three_or_more_fragments(where):
+    # The degree cells are the fragments of the one root cell, a group with
+    # >= 3 fragments here, whose largest comes first, in the middle or last
+    # in key order.  Each graph splits further against that group, at the
+    # root and when _refine starts from the degree cells.
+    rng = random.Random(where)
+    found = 0
+    while found < 12:
+        n = rng.randint(6, 40)
+        g = _random_graph(rng, n, rng.uniform(0.1, 0.9))
+        n, adj = g.n, g.adj
+        frags = _degree_cells(n, adj)
+        sizes = [f.bit_count() for f in frags]
+        big = sizes.index(max(sizes))
+        at = "first" if big == 0 else "last" if big == len(frags) - 1 else "middle"
+        colors = _oracle_refine(n, adj, [0] * n)
+        if len(frags) < 3 or at != where or max(colors) + 1 == len(frags):
+            continue
+        found += 1
+        assert _colors(n, _refine(adj, [(1 << n) - 1], [0])) == colors, g
+        assert _colors(n, _refine(adj, frags, list(range(len(frags))))) == colors, g
 
 
 def test_orbits_follow_only_automorphisms_that_fix_the_prefix():

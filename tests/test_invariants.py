@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -21,7 +21,9 @@ from matchturan.graphs import (
     turan_graph,
 )
 from matchturan.invariants import (
+    CHROMATIC_MAX_NODES,
     TUTTE_BERGE_MAX_SETS,
+    ChromaticLimitError,
     TutteBergeLimitError,
     chromatic_number,
     clique_number,
@@ -114,6 +116,31 @@ def test_chromatic_equals_clique_on_complete_multipartite():
         for k in range(1, p + 1):
             g = turan_graph(p, k)
             assert chromatic_number(g) == clique_number(g) == min(k, p)
+
+
+def _chromatic_brute(g):
+    for k in range(g.n + 1):
+        for colors in product(range(k), repeat=g.n):
+            if all(colors[u] != colors[v] for u, v in g.edges()):
+                return k
+
+
+def test_chromatic_number_matches_brute_force():
+    rng = random.Random(17)
+    for _ in range(150):
+        n = rng.randrange(0, 8)
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < rng.random()])
+        assert chromatic_number(g) == _chromatic_brute(g), g
+
+
+def test_chromatic_number_refuses_a_long_search_quickly():
+    # G(64, 1/2): the colouring backtracking ran for over 10 s
+    rng = random.Random(64)
+    g = Graph(64, [e for e in combinations(range(64), 2) if rng.random() < 0.5])
+    t0 = time.perf_counter()
+    with pytest.raises(ChromaticLimitError, match=f"^{CHROMATIC_MAX_NODES + 1} colouring"):
+        chromatic_number(g)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def _matching_brute(g):

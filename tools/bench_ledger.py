@@ -16,12 +16,14 @@ against its golden files.
 
 It also times `graphs.canonical_form` and `invariants.matching_number`
 call by call on the domain-64 corpus at seed 1, each call under the
-workload's deadline, in a fresh interpreter per tree.
+workload's deadline, in a fresh interpreter per tree.  In the same pass it
+records a sha256 of each graph's canonical forms (rows and permutation of
+both relabellings), and the ledger states whether the two trees agree.
 
 The JSON it writes holds both commits, the machine, every run's metrics
 and `correct` flag, per workload and side the median and quartiles of each
-end-to-end metric, the number of pairs the change won, and the per-call
-times.
+end-to-end metric, the number of pairs the change won, the per-call
+times and the canonical-form digests.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ SEED = 701  # seed of the first pair; pair i runs seed SEED + i
 
 # runs inside each tree's interpreter: per-call times on the domain-64 corpus
 MICRO = r"""
-import json, signal, sys, time
+import hashlib, json, signal, sys, time
 sys.path.insert(0, "perfbench")
 import workloads
 from matchturan.graphs import Graph, canonical_form
@@ -80,6 +82,11 @@ def timed(fn, graphs):
         i += 1
     return round(best * 1e6, 1)
 
+def digest(graphs):
+    forms = [canonical_form(g) for g in graphs]
+    text = repr([(cf.graph.adj, cf.permutation) for cf in forms])
+    return hashlib.sha256(text.encode()).hexdigest()
+
 out = []
 for item in workloads.domain_corpus(1):
     ga, gb = Graph(item["n"], item["a"]), Graph(item["n"], item["b"])
@@ -88,6 +95,7 @@ for item in workloads.domain_corpus(1):
         "n": item["n"],
         "canonical_form_us": timed(canonical_form, [ga, gb]),
         "matching_number_us": timed(matching_number, [ga]),
+        "canonical_sha256": digest([ga, gb]),
     })
 print(json.dumps(out))
 """
@@ -198,6 +206,10 @@ def main() -> int:
         shutil.rmtree(work, ignore_errors=True)
 
     status = git("status", "--porcelain", "--", "src", "perfbench", "tests")
+    differ = [
+        p["label"] for p, c in zip(per_call["parent"], per_call["change"])
+        if p["canonical_sha256"] != c["canonical_sha256"]
+    ]
     ledger = {
         "parent": {"commit": git("rev-parse", args.parent)},
         "change": {"commit": git("rev-parse", "HEAD"), "uncommitted_changes": bool(status)},
@@ -219,8 +231,14 @@ def main() -> int:
         "per_call_us": {
             "corpus": "domain-64, seed 1",
             "note": "best of up to 5 calls within 0.5 s; null: still running at the "
-                    "0.5 s deadline",
+                    "0.5 s deadline; canonical_sha256: sha256 of the canonical rows "
+                    "and permutation of both relabellings",
             **per_call,
+        },
+        "canonical_forms": {
+            "corpus": "domain-64, seed 1",
+            "agree": not differ,
+            "graphs_that_differ": differ,
         },
     }
     Path(args.out).write_text(json.dumps(ledger, indent=2) + "\n")
