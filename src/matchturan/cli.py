@@ -139,14 +139,10 @@ def _write_csv(outdir: Path, name: str, report: TheoremReport) -> None:
 def cmd_ex(args: argparse.Namespace) -> int:
     members = []
     labels = []
-    if args.forbid:
-        fam = parse_family(args.forbid)
-        members.extend(fam)
-        labels.append(args.forbid)
-    if args.forbid_family:
-        fam = parse_family(args.forbid_family)
-        members.extend(fam)
-        labels.append(args.forbid_family)
+    for expr in (args.forbid, args.forbid_family):
+        if expr:
+            members.extend(parse_family(expr))
+            labels.append(expr)
     if args.forbid_file:
         members.extend(read_graph6_lines(Path(args.forbid_file).read_text().splitlines()))
         labels.append(f"file:{args.forbid_file}")
@@ -176,7 +172,6 @@ def cmd_family(args: argparse.Namespace) -> int:
     if args.out:
         outdir = Path(args.out)
         _write_json(outdir, "family", _envelope("family", report.to_payload(), elapsed))
-        outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "family.g6").write_text(
             "\n".join(report.family.to_lines()) + "\n", encoding="utf-8"
         )

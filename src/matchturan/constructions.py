@@ -34,8 +34,6 @@ def assemble_gns(n: int, s: int, filling: Graph) -> Graph:
         raise ValueError(f"filling has {filling.n} vertices, expected {s}")
     if not 0 <= s <= n:
         raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
-    if n > MAX_VERTICES:
-        raise GraphCapacityError(f"{n} vertices exceeds capacity")
     return join_all(filling, Graph(n - s))
 
 
@@ -113,8 +111,6 @@ def build_g_n_s(
 
 def build_clique_candidate(s: int) -> Graph:
     """The odd clique on 2s+1 vertices (matching number exactly s)."""
-    if 2 * s + 1 > MAX_VERTICES:
-        raise GraphCapacityError(f"K_{2 * s + 1} exceeds capacity")
     return complete(2 * s + 1)
 
 
@@ -144,8 +140,8 @@ def build_forest_extremal(
 
 @dataclass(frozen=True)
 class ConstructionSpec:
-    """Serializable description of a candidate construction; round-trips
-    through the CLI report format."""
+    """Serializable description of a candidate construction; `to_payload`
+    is the `spec` section of the `construct` report."""
 
     kind: str  # "gns" | "clique" | "forest_extremal" | "turan"
     n: int | None = None
@@ -193,21 +189,6 @@ class ConstructionSpec:
             "family_label": self.family_label,
         }
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ConstructionSpec":
-        return cls(
-            kind=payload["kind"],
-            n=payload.get("n"),
-            s=payload.get("s"),
-            p=payload.get("p"),
-            t=payload.get("t"),
-            parts=payload.get("parts"),
-            r=payload.get("r"),
-            objective=payload.get("objective", "edges"),
-            family_graph6=tuple(payload.get("family", ())),
-            family_label=payload.get("family_label", ""),
-        )
-
 
 def realize(
     spec: ConstructionSpec, *, ceiling: int | None = None, workers: int = 1
@@ -233,13 +214,10 @@ def realize(
         }
     if spec.kind == "clique":
         g = build_clique_candidate(spec.s)
-        return g, {"edges": g.edge_count()}
-    if spec.kind == "forest_extremal":
+    elif spec.kind == "forest_extremal":
         g = build_forest_extremal(
             spec.n, spec.p, spec.t, spec.family(), ceiling=ceiling, workers=workers
         )
-        return g, {"edges": g.edge_count()}
-    if spec.kind == "turan":
+    else:  # "turan", the one kind validate() leaves
         g = turan_graph(spec.p, spec.parts)
-        return g, {"edges": g.edge_count()}
-    raise ValueError(f"unknown construction kind {spec.kind!r}")
+    return g, {"edges": g.edge_count()}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .graphs import Graph, canonical_form, from_graph6, remove_edge, to_graph6
+from .graphs import Graph, canonical_form, read_graph6_lines, remove_edge, to_graph6
 
 
 def _pattern_order(pattern: Graph) -> list[int]:
@@ -130,18 +130,16 @@ class GraphFamily:
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "GraphFamily":
+        """Inverse of to_lines: the label is the first non-empty comment
+        before the first graph."""
+        lines = list(lines)
         label = ""
-        graphs = []
         for line in lines:
             line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if not graphs and not label:
-                    label = line.lstrip("#").strip()
-                continue
-            graphs.append(from_graph6(line))
-        return cls(graphs, label=label)
+            if line and not line.startswith("#"):
+                break
+            label = label or line.lstrip("#").strip()
+        return cls(read_graph6_lines(lines), label=label)
 
 
 def is_family_free(g: Graph, family: GraphFamily) -> bool:

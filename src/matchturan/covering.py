@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .containment import GraphFamily
 from .graphs import Graph, canonical_form, complete, induced, remove_edge, to_graph6
-from .invariants import chromatic_number, connected_components
+from .invariants import _colorable, chromatic_number, connected_components
 
 INFINITE = math.inf
 
@@ -38,10 +38,10 @@ def all_coverings(f: Graph, p: int) -> list[tuple[int, ...]]:
     return out
 
 
-def family_fp(f: Graph, p: int, label: str = "") -> GraphFamily:
+def family_fp(f: Graph, p: int) -> GraphFamily:
     """The family {f[S] : S a covering of f, |S| <= p}, deduplicated up to
     isomorphism; {K_{p+1}} when f has no covering of size <= p."""
-    return covering_report(f, p, label).family
+    return covering_report(f, p).family
 
 
 @dataclass(frozen=True)
@@ -112,10 +112,14 @@ def p_of_f(f: Graph) -> int | float:
 
 
 def is_color_critical(f: Graph) -> bool:
-    """True iff deleting some single edge lowers the chromatic number.
-    ChromaticLimitError from any of its chromatic_number calls propagates."""
+    """True iff deleting some single edge lowers the chromatic number: chi(f)
+    once, then whether f - e is (chi - 1)-colourable for each edge e, all of
+    those searches under one CHROMATIC_MAX_NODES budget.  Raises
+    ChromaticLimitError past that budget or chromatic_number's own."""
     edges = list(f.edges())
     if not edges:
         return False
     chi = chromatic_number(f)
-    return any(chromatic_number(remove_edge(f, u, v)) < chi for u, v in edges)
+    order = sorted(range(f.n), key=lambda v: (-f.degree(v), v))
+    nodes = [0]  # search nodes so far, over every edge
+    return any(_colorable(remove_edge(f, u, v), order, chi - 1, nodes) for u, v in edges)

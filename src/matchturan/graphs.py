@@ -8,7 +8,6 @@ processes without copying or locks.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
@@ -53,11 +52,8 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
-            m = self.adj[u] >> (u + 1) << (u + 1)
-            while m:
-                b = m & -m
-                yield (u, b.bit_length() - 1)
-                m ^= b
+            for v in _bits(self.adj[u] >> (u + 1) << (u + 1)):
+                yield (u, v)
 
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
@@ -487,19 +483,18 @@ def canonical_form(g: Graph) -> CanonicalForm:
         cell = cells[i]
         orbits = _Orbits(n, prefix)
         z = (cell & -cell).bit_length() - 1
-        tried: list[int] = []
         for w in _bits(cell):
-            if tried:
+            if w != z:
+                # each orbit is rooted at its least vertex, and every smaller
+                # vertex of the cell was tried or joined to a tried one
                 orbits.update(autos)
-                root = orbits.find(w)
-                if any(orbits.find(t) == root for t in tried):
+                if orbits.find(w) != w:
                     continue
                 if adj[z] & ~(1 << w) == adj[w] & ~(1 << z):
                     swap = list(range(n))
                     swap[z], swap[w] = w, z
                     autos.append((tuple(swap), 1 << z | 1 << w, [z, w]))
                     continue
-            tried.append(w)
             b = 1 << w
             path.append(w)
             split = [*cells[:i], b, cell ^ b, *cells[i + 1 :]]
@@ -596,9 +591,3 @@ def read_graph6_lines(lines: Iterable[str]) -> list[Graph]:
         if line:
             out.append(from_graph6(line))
     return out
-
-
-def graph_from_pair_mask(n: int, mask: int) -> Graph:
-    """Build a graph from a bitmask over combinations(range(n), 2)."""
-    pairs = list(combinations(range(n), 2))
-    return Graph(n, (pairs[i] for i in range(len(pairs)) if mask >> i & 1))

@@ -205,7 +205,7 @@ def _top_class(
 
 
 def _expand_parents(
-    n: int, parents: list[Labelled], member_rows: list[tuple[tuple[int, ...], int]]
+    n: int, parents: list[Labelled], members: list[tuple[Graph, int]]
 ) -> list[Labelled]:
     """Canonical augmentation (McKay 1998): the children of `parents` that
     are accepted, one per isomorphism class.  A child C = P + uv is
@@ -214,7 +214,6 @@ def _expand_parents(
     canonical image.  Then C is accepted only from the class representative
     of C - m(C), and only from one Aut(P)-orbit of non-edges, which the
     parent's generators prune to a single representative."""
-    members = [(_raw(len(rows), rows), k) for rows, k in member_rows]
     out: list[Labelled] = []
     for rows, gens in parents:
         seen: set[tuple[int, int]] = set()
@@ -267,7 +266,7 @@ def _enumerate(n: int, family: GraphFamily, workers: int) -> Iterator[Graph]:
     reduced = minimalize(family)
     if any(m.edge_count() == 0 and m.n <= n for m in reduced):
         return  # an edgeless member embeds into every n-vertex graph
-    member_rows = [(m.adj, _matching_size(m)) for m in reduced if m.n <= n]
+    members = [(m, _matching_size(m)) for m in reduced if m.n <= n]
 
     level = [_labelled(canonical_form(_raw(n, [0] * n)))]
     while level:
@@ -278,11 +277,11 @@ def _enumerate(n: int, family: GraphFamily, workers: int) -> Iterator[Graph]:
             with get_context("fork").Pool(workers) as pool:
                 parts = pool.starmap(
                     _expand_parents,
-                    [(n, level[i : i + chunk], member_rows) for i in range(0, len(level), chunk)],
+                    [(n, level[i : i + chunk], members) for i in range(0, len(level), chunk)],
                 )
             level = [kid for part in parts for kid in part]
         else:
-            level = _expand_parents(n, level, member_rows)
+            level = _expand_parents(n, level, members)
         level.sort()
 
 

@@ -12,8 +12,8 @@ rather than "fail", and the report records n0.
 
 One theorem table, `THEOREMS` (see `Theorem`), drives both the replays and
 the `matchturan verify` subcommands; one runner, `_run`, times every replay,
-short-circuits an unmet or degenerate gate, applies the small-n policy and
-summarizes.
+short-circuits an unmet or degenerate gate, runs the theorem's finish (the
+small-n policy, for instance) and summarizes.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .invariants import (
     matching_number,
     tutte_berge_certificate,
 )
-from .solver import CeilingError, enumerate_free, ex_general, ex_profile
+from .solver import CeilingError, ExResult, enumerate_free, ex_general, ex_profile
 
 CSV_COLUMNS = (
     "theorem",
@@ -128,10 +128,11 @@ def _summary(points: list[dict], extra: dict) -> dict:
     return out
 
 
-def _apply_small_n_policy(points: list[dict]) -> int | None:
-    """Relabel failing points below the first fully-passing suffix as
-    small-n exceptions; returns the suffix start (None when no suffix
-    passes).  Points must be ordered by increasing n."""
+def _small_n_finish(ctx: SimpleNamespace, points: list[dict]) -> dict:
+    """The small-n policy, as a theorem's `finish`: relabel failing points
+    below the first fully-passing suffix as small-n exceptions, and record
+    the suffix start; the report fails when no suffix passes.  Points must
+    be ordered by increasing n."""
 
     def full_pass(p: dict) -> bool:
         if p.get("verdict") != PASS:
@@ -145,18 +146,32 @@ def _apply_small_n_policy(points: list[dict]) -> int | None:
         else:
             break
     if first is None:
-        return None
+        return {"first_fully_passing_n": None, "status": FAIL}
     for p in points:
         if p["n"] < first:
             if p.get("verdict") == FAIL:
                 p["verdict"] = SMALL_N
             if p.get("uniqueness") == FAIL:
                 p["uniqueness"] = SMALL_N
-    return first
+    return {"first_fully_passing_n": first}
 
 
 def _witness_set(graphs: list[Graph]) -> list[str]:
     return sorted({to_graph6(canonical_form(g).graph) for g in graphs})
+
+
+def _compare(
+    point: dict, brute: ExResult, formula: int, predicted: list | None = None, **shown
+) -> None:
+    """Score one point: brute against formula (the verdict), with `shown`
+    recorded between them and the verdict; given the `predicted` witness
+    set, brute's extremal graphs against it as well (the uniqueness)."""
+    witnesses = list(brute.witnesses)
+    verdict = PASS if brute.value == formula else FAIL
+    point.update(brute=brute.value, formula=formula, **shown, verdict=verdict, witnesses=witnesses)
+    if predicted is not None:
+        uniqueness = PASS if witnesses == predicted else FAIL
+        point.update(predicted_witnesses=predicted, uniqueness=uniqueness)
 
 
 def _finite(x: int | float) -> int | str:
@@ -185,9 +200,9 @@ class Theorem:
     the arguments of the `verify_*` call plus `opts` (ceiling and workers).
     `gate(ctx)`, when given, computes the hypothesis and the values every
     point shares (stored on `ctx`); it returns the gate status (None when
-    met) and summary fields.  `finish(ctx, points)` returns further summary
-    fields.  A "status" among the summary fields overrides the status the
-    verdicts give."""
+    met) and summary fields.  `finish(ctx, points)` may relabel verdicts and
+    returns further summary fields.  A "status" among the summary fields
+    overrides the status the verdicts give."""
 
     command: str  # `matchturan verify <command>`
     name: str  # the report's theorem name
@@ -199,7 +214,6 @@ class Theorem:
     expand: Callable[..., tuple] = lambda *values: values
     gate: Callable[[SimpleNamespace], tuple[str | None, dict]] | None = None
     finish: Callable[[SimpleNamespace, list[dict]], dict] | None = None
-    small_n: bool = False
     help: str = ""
 
 
@@ -221,11 +235,6 @@ def _run(
             theorem.score(ctx, point, *row)
         if theorem.finish:
             extra.update(theorem.finish(ctx, points))
-        if theorem.small_n:
-            first = _apply_small_n_policy(points)
-            extra["first_fully_passing_n"] = first
-            if first is None:
-                extra["status"] = FAIL
     report = TheoremReport(theorem.name, points, _summary(points, extra), params=theorem.params)
     report.elapsed = time.perf_counter() - t0
     return report
@@ -243,14 +252,12 @@ def _erdos_gallai_point(ctx: SimpleNamespace, point: dict, n: int, s: int) -> No
     brute = ex_general(n, 2, fam, **ctx.opts)
     clique = complete(2 * s + 1)
     split = build_g_n_s(n, s, GraphFamily([complete(s + 1)]), "edges", **ctx.opts)
-    formula = max(clique.edge_count(), split.value)
-    point.update(
-        brute=brute.value,
-        formula=formula,
+    _compare(
+        point,
+        brute,
+        max(clique.edge_count(), split.value),
         clique_candidate_value=clique.edge_count(),
         split_candidate_value=split.value,
-        verdict=PASS if brute.value == formula else FAIL,
-        witnesses=list(brute.witnesses),
     )
 
 
@@ -279,20 +286,18 @@ def _ma_hou_point(ctx: SimpleNamespace, point: dict, n: int, s: int, r: int, k: 
     clique_cand = turan_graph(2 * s + 1, min(k, 2 * s + 1))
     clique_val = count_cliques(clique_cand, r)
     split = build_g_n_s(n, s, GraphFamily([complete(k)]), "kr_count", r, **ctx.opts)
-    formula = max(clique_val, split.value)
     note = ""
     if k < 2 * s + 1:
         note = f"odd clique K_{2 * s + 1} contains K_{k + 1}; clique candidate is T_{k}({2 * s + 1})"
-    point.update(
-        brute=brute.value,
-        formula=formula,
+    _compare(
+        point,
+        brute,
+        max(clique_val, split.value),
         clique_candidate=to_graph6(canonical_form(clique_cand).graph),
         clique_candidate_value=clique_val,
         split_candidate_value=split.value,
-        verdict=PASS if brute.value == formula else FAIL,
-        witnesses=list(brute.witnesses),
-        notes=note,
     )
+    point["notes"] = note
 
 
 def verify_ma_hou(
@@ -339,15 +344,8 @@ def _main_point(ctx: SimpleNamespace, point: dict, f_name: str, n: int, s: int, 
     build = build_g_n_s(n, s, ctx.fam, "kr_count", r, **ctx.opts)
     predicted = _witness_set(build.witness_graphs())
     gap = build.value != formula
-    point.update(
-        brute=brute.value,
-        formula=formula,
-        construction_value=build.value,
-        construction_gap=gap,
-        verdict=PASS if brute.value == formula else FAIL,
-        witnesses=list(brute.witnesses),
-        predicted_witnesses=predicted,
-        uniqueness=PASS if list(brute.witnesses) == predicted else FAIL,
+    _compare(
+        point, brute, formula, predicted, construction_value=build.value, construction_gap=gap
     )
     if gap:
         point["notes"] = "no single filling attains both profile maxima"
@@ -414,7 +412,6 @@ def _gerbner_finish(ctx: SimpleNamespace, points: list[dict]) -> dict:
         "differences": diffs,
         "constant": constant,
         "constant_from_n": points[suffix_start]["n"] if points else None,
-        "status": PASS if constant else FAIL,
     }
 
 
@@ -479,14 +476,7 @@ def _forest_point(ctx: SimpleNamespace, point: dict, f_name: str, n: int, s: int
             if n - t * (2 * p - 1) >= p - 1
         ]
     )
-    point.update(
-        brute=brute.value,
-        formula=formula,
-        verdict=PASS if brute.value == formula else FAIL,
-        witnesses=list(brute.witnesses),
-        predicted_witnesses=predicted,
-        uniqueness=PASS if list(brute.witnesses) == predicted else FAIL,
-    )
+    _compare(point, brute, formula, predicted)
 
 
 def verify_forest_theorem(
@@ -651,7 +641,7 @@ THEOREMS = {
             _main_point,
             flags=(F_FLAG, ("--s", "s", INT), ("--r", "r", INT), ("--n", "n", RANGE)),
             gate=_main_gate,
-            small_n=True,
+            finish=_small_n_finish,
         ),
         Theorem(
             "gerbner", "gerbner-slope", "verify_gerbner_slope", ("F", "n", "s"),
@@ -665,7 +655,7 @@ THEOREMS = {
             _forest_point,
             flags=(F_FLAG, ("--s", "s", INT), ("--n", "n", RANGE)),
             gate=_forest_gate,
-            small_n=True,
+            finish=_small_n_finish,
         ),
         Theorem(
             "tutte-berge", "tutte-berge", "verify_tutte_berge", ("n",), _tutte_berge_point,

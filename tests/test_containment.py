@@ -1,6 +1,7 @@
 import random
 from itertools import permutations
 
+from graph_builders import graph_from_pair_mask
 import matchturan.containment
 from matchturan.containment import (
     GraphFamily,
@@ -17,7 +18,6 @@ from matchturan.graphs import (
     cycle,
     disjoint_union,
     empty,
-    graph_from_pair_mask,
     matching,
     path,
     relabel,
@@ -178,6 +178,10 @@ def test_family_serialization_roundtrip():
     lines = fam.to_lines()
     assert lines[0] == "# forbidden pair"
     back = GraphFamily.from_lines(lines)
+    assert back == fam and back.label == "forbidden pair"
+    # a blank first line and inline comments keep the label and the members
+    edited = ["", lines[0]] + [f"{g6}  # member {i}" for i, g6 in enumerate(lines[1:])]
+    back = GraphFamily.from_lines(edited)
     assert back == fam and back.label == "forbidden pair"
 
 

@@ -1,3 +1,5 @@
+import random
+import time
 from itertools import combinations
 
 import pytest
@@ -27,7 +29,7 @@ from matchturan.graphs import (
     remove_edge,
     star,
 )
-from matchturan.invariants import chromatic_number
+from matchturan.invariants import ChromaticLimitError, chromatic_number
 from matchturan.solver import enumerate_free
 
 
@@ -174,6 +176,26 @@ def test_is_color_critical():
     c6 = cycle(6)
     for u, v in c6.edges():
         assert chromatic_number(remove_edge(c6, u, v)) == 2
+
+
+def test_is_color_critical_matches_definition():
+    # chi(G - e) < chi(G) for some edge e, over every class on <= 6 vertices
+    for n in range(7):
+        for g in enumerate_free(n, GraphFamily(), ceiling=7):
+            chi = chromatic_number(g)
+            expected = any(chromatic_number(remove_edge(g, u, v)) < chi for u, v in g.edges())
+            assert is_color_critical(g) == expected, g
+
+
+def test_is_color_critical_refuses_dense_random():
+    # G(34, 1/2): the edge tests share one search budget, so this is refused
+    # quickly instead of paying |E| full chromatic-number searches
+    rng = random.Random(1)
+    g = Graph(34, [(u, v) for u in range(34) for v in range(u + 1, 34) if rng.random() < 0.5])
+    t0 = time.perf_counter()
+    with pytest.raises(ChromaticLimitError):
+        is_color_critical(g)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_family_fp_members_stay_unminimalized():

@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from graph_builders import graph_from_pair_mask
 from matchturan.containment import GraphFamily
 from matchturan.graphs import (
     CanonicalForm,
@@ -26,7 +27,6 @@ from matchturan.graphs import (
     disjoint_union,
     empty,
     from_graph6,
-    graph_from_pair_mask,
     induced,
     join_all,
     matching,

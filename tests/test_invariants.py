@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from graph_builders import graph_from_pair_mask
 from matchturan.graphs import (
     Graph,
     complete,
@@ -13,7 +14,6 @@ from matchturan.graphs import (
     disjoint_union,
     empty,
     add_edge,
-    graph_from_pair_mask,
     matching,
     path,
     relabel,

@@ -1,9 +1,11 @@
 import multiprocessing
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
+from graph_builders import graph_from_pair_mask
 import matchturan.solver
 from matchturan.cli import main
 from matchturan.containment import (
@@ -22,7 +24,6 @@ from matchturan.graphs import (
     disjoint_union,
     empty,
     from_graph6,
-    graph_from_pair_mask,
     matching,
     path,
     relabel,
@@ -134,6 +135,32 @@ def test_pool_forks_only_for_wide_levels(monkeypatch):
     # a pool lives for one level: no worker is alive at any yield
     for _ in enumerate_free(7, GraphFamily(), workers=2):
         assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("member", ["M4", "K4"])
+def test_pool_with_forbidden_members_matches_serial(member, monkeypatch):
+    family = GraphFamily([matching(4) if member == "M4" else complete(4)], label=member)
+    real_count_cliques = matchturan.solver.count_cliques
+    real_get_context = matchturan.solver.get_context
+    edge_counts, forks = [], []
+
+    def recording_count_cliques(g, r):
+        edge_counts.append(g.edge_count())
+        return real_count_cliques(g, r)
+
+    def counting_get_context(method):
+        forks.append(method)
+        return real_get_context(method)
+
+    monkeypatch.setattr(matchturan.solver, "count_cliques", recording_count_cliques)
+    serial = ex_general(8, 2, family, workers=1)
+    # the serial run scores every class: some level (one edge count) is wide
+    # enough to fork at two workers
+    assert max(Counter(edge_counts).values()) >= 2 * matchturan.solver.PARENTS_PER_WORKER
+    monkeypatch.setattr(matchturan.solver, "get_context", counting_get_context)
+    pooled = ex_general(8, 2, family, workers=2)
+    assert forks
+    assert pooled.payload_bytes() == serial.payload_bytes()
 
 
 def test_enumerate_counts_against_labelled_dedup():
