@@ -3,68 +3,109 @@
 Containment is non-induced throughout: `pattern` is contained in `host` iff
 some injective vertex map carries every pattern edge to a host edge.
 Isolated pattern vertices only need distinct images, so they reduce to a
-vertex-count check.
+vertex-count check.  One backtracking kernel places pattern vertices in a
+fixed order; the unanchored search starts it empty, and the search for a
+copy through a host edge uv starts it from an arc (a, b) mapped onto
+(u, v), one arc per automorphism orbit (see _plan).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from functools import lru_cache
 
-from .graphs import Graph, canonical_form, read_graph6_lines, remove_edge, to_graph6
+from .graphs import (
+    Graph,
+    _bits,
+    canonical_form,
+    read_graph6_lines,
+    remove_edge,
+    to_graph6,
+)
+
+# a search step: a pattern vertex, its degree and its earlier-placed neighbours
+Step = tuple[int, int, tuple[int, ...]]
+# a pattern's degrees and, per Aut(pattern)-orbit of arcs, one (a, b, steps)
+Plan = tuple[tuple[int, ...], tuple[tuple[int, int, tuple[Step, ...]], ...]]
 
 
-def _pattern_order(pattern: Graph) -> list[int]:
-    # non-isolated vertices only; greedily prefer vertices with the most
-    # already-placed neighbours (ties: higher degree, lower id)
-    degs = [pattern.degree(v) for v in range(pattern.n)]
-    rest = [v for v in range(pattern.n) if degs[v] > 0]
+def _pattern_order(pattern: Graph, placed: int = 0) -> tuple[Step, ...]:
+    # the non-isolated vertices outside `placed`; greedily prefer vertices
+    # with the most already-placed neighbours (ties: higher degree, lower id)
+    adj = pattern.adj
+    degs = [row.bit_count() for row in adj]
+    rest = [v for v in range(pattern.n) if degs[v] > 0 and not placed >> v & 1]
     out = []
-    placed_mask = 0
     while rest:
-        best = max(
-            rest,
-            key=lambda v: ((pattern.adj[v] & placed_mask).bit_count(), degs[v], -v),
-        )
+        best = max(rest, key=lambda v: ((adj[v] & placed).bit_count(), degs[v], -v))
         rest.remove(best)
-        out.append(best)
-        placed_mask |= 1 << best
-    return out
+        out.append((best, degs[best], tuple(_bits(adj[best] & placed))))
+        placed |= 1 << best
+    return tuple(out)
+
+
+def _extend(
+    adj: tuple[int, ...], steps: tuple[Step, ...], i: int, img: list[int], free: int
+) -> bool:
+    # the search kernel: place steps[i:] on `free` host vertices, next to
+    # the images of their placed neighbours
+    if i == len(steps):
+        return True
+    a, need, back = steps[i]
+    cand = free
+    for w in back:
+        cand &= adj[img[w]]
+    while cand:
+        b = cand & -cand
+        cand ^= b
+        hv = b.bit_length() - 1
+        if adj[hv].bit_count() >= need:
+            img[a] = hv
+            if _extend(adj, steps, i + 1, img, free ^ b):
+                return True
+    return False
 
 
 def _find_embedding(host: Graph, pattern: Graph) -> bool:
-    if pattern.n > host.n:
-        return False
-    img = [-1] * pattern.n
-    order = _pattern_order(pattern)
-    host_full = host.vertex_mask()
-    hdeg = [host.degree(v) for v in range(host.n)]
+    return pattern.n <= host.n and _extend(
+        host.adj, _pattern_order(pattern), 0, [0] * pattern.n, host.vertex_mask()
+    )
 
-    def rec(i: int, used: int) -> bool:
-        if i == len(order):
-            return True
-        a = order[i]
-        need = pattern.degree(a)
-        cand = host_full & ~used
-        m = pattern.adj[a]
-        while m:
-            b = m & -m
-            m ^= b
-            t = img[b.bit_length() - 1]
-            if t >= 0:
-                cand &= host.adj[t]
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            hv = b.bit_length() - 1
-            if hdeg[hv] < need:
-                continue
-            img[a] = hv
-            if rec(i + 1, used | b):
+
+@lru_cache(maxsize=256)
+def _plan(pattern: Graph) -> Plan:
+    """The searches through a host edge uv, one per Aut(pattern)-orbit of
+    arcs (a, b): map a onto u and b onto v, then place `steps`.  A copy
+    composed with an automorphism serves every arc of the orbit."""
+    gens = canonical_form(pattern).automorphisms
+    seen: set[tuple[int, int]] = set()
+    arcs = []
+    for a in range(pattern.n):
+        for b in _bits(pattern.adj[a]):
+            if (a, b) not in seen:
+                arcs.append((a, b, _pattern_order(pattern, 1 << a | 1 << b)))
+                stack = [(a, b)]
+                while stack:
+                    arc = stack.pop()
+                    if arc not in seen:
+                        seen.add(arc)
+                        stack.extend((g[arc[0]], g[arc[1]]) for g in gens)
+    return tuple(pattern.degree(v) for v in range(pattern.n)), tuple(arcs)
+
+
+def _through_edge(host: Graph, plan: Plan, u: int, v: int) -> bool:
+    # True iff some copy of the planned pattern maps an edge onto host edge uv
+    degs, arcs = plan
+    if len(degs) > host.n:
+        return False
+    adj, img = host.adj, [0] * len(degs)
+    free = host.vertex_mask() & ~(1 << u | 1 << v)
+    for a, b, steps in arcs:
+        if degs[a] <= adj[u].bit_count() and degs[b] <= adj[v].bit_count():
+            img[a], img[b] = u, v
+            if _extend(adj, steps, 0, img, free):
                 return True
-        img[a] = -1
-        return False
-
-    return rec(0, 0)
+    return False
 
 
 def contains_subgraph(host: Graph, pattern: Graph) -> bool:
@@ -74,14 +115,11 @@ def contains_subgraph(host: Graph, pattern: Graph) -> bool:
 
 
 def contains_subgraph_using_edge(host: Graph, pattern: Graph, u: int, v: int) -> bool:
-    """True iff the host edge uv completes a copy of pattern: host contains
-    pattern and host - uv does not.  False when uv is not a host edge, and
-    False when host - uv already contains pattern.  Used for incremental
-    freeness checks after adding uv to a pattern-free graph, where it equals
-    "host contains pattern"."""
+    """True iff the host edge uv completes a copy of pattern: some copy uses
+    uv and host - uv contains none.  False when uv is not a host edge."""
     return (
         host.has_edge(u, v)
-        and _find_embedding(host, pattern)
+        and _through_edge(host, _plan(pattern), u, v)
         and not _find_embedding(remove_edge(host, u, v), pattern)
     )
 

@@ -6,16 +6,18 @@ canonical augmentation (B. D. McKay, Isomorph-free exhaustive generation,
 J. Algorithms 26, 1998), the scheme behind nauty's geng.  Each class
 representative carries generators of its automorphism group; its non-edges
 are tried one per orbit, a child is dropped when the new edge creates a
-forbidden subgraph (freeness is monotone under edge deletion, so this
-pruning is exact), and a child is kept only when the new edge is
+forbidden subgraph, and a child is kept only when the new edge is
 equivalent to its canonical edge, so every class is produced once, with one
-canonical labelling, and no set is needed.  Each level is sorted by
-canonical adjacency, so the stream - and everything derived from it - is
-deterministic, with or without workers.  With workers > 1, a level of at
-least PARENTS_PER_WORKER parents per worker is split across a forked pool
-that lives for that one level: no worker exists while the generator waits
-at a yield, and narrower levels run inline, where a fork costs more than
-it saves.
+canonical labelling, and no set is needed.  Freeness is monotone under
+edge deletion, so the pruning is exact, and the parent is family-free, so
+a member is created iff one search that maps a member edge onto the new
+edge succeeds (containment._plan, built once per member and enumeration).
+Each level is sorted by canonical adjacency, so the stream - and
+everything derived from it - is deterministic, with or without workers.
+With workers > 1, a level of at least PARENTS_PER_WORKER parents per
+worker is split across a forked pool that lives for that one level: no
+worker exists while the generator waits at a yield, and narrower levels
+run inline, where a fork costs more than it saves.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Iterator
 
-from .containment import GraphFamily, contains_subgraph_using_edge, minimalize
+from .containment import GraphFamily, Plan, _plan, _through_edge, minimalize
 from .covering import family_fp, p_of_f
 from .graphs import (
     CanonicalForm,
@@ -121,16 +123,16 @@ def _has_matching(adj: tuple[int, ...], avail: int, k: int) -> bool:
 
 
 def _edge_creates_member(
-    child: Graph, members: list[tuple[Graph, int]], u: int, v: int
+    child: Graph, members: list[tuple[int, Plan | None]], u: int, v: int
 ) -> bool:
-    # members: (graph, its _matching_size)
-    for m, k in members:
+    # members: (k, None) for the matching M_k, else (0, its search plan)
+    for k, plan in members:
         if k:
             # a new copy must use edge uv; the rest is a matching avoiding u, v
             rest = child.vertex_mask() & ~(1 << u) & ~(1 << v)
             if _has_matching(child.adj, rest, k - 1):
                 return True
-        elif contains_subgraph_using_edge(child, m, u, v):
+        elif _through_edge(child, plan, u, v):
             return True
     return False
 
@@ -205,7 +207,7 @@ def _top_class(
 
 
 def _expand_parents(
-    n: int, parents: list[Labelled], members: list[tuple[Graph, int]]
+    n: int, parents: list[Labelled], members: list[tuple[int, Plan | None]]
 ) -> list[Labelled]:
     """Canonical augmentation (McKay 1998): the children of `parents` that
     are accepted, one per isomorphism class.  A child C = P + uv is
@@ -266,7 +268,9 @@ def _enumerate(n: int, family: GraphFamily, workers: int) -> Iterator[Graph]:
     reduced = minimalize(family)
     if any(m.edge_count() == 0 and m.n <= n for m in reduced):
         return  # an edgeless member embeds into every n-vertex graph
-    members = [(m, _matching_size(m)) for m in reduced if m.n <= n]
+    members = [
+        ((k := _matching_size(m)), None if k else _plan(m)) for m in reduced if m.n <= n
+    ]
 
     level = [_labelled(canonical_form(_raw(n, [0] * n)))]
     while level:

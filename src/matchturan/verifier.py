@@ -79,11 +79,7 @@ class TheoremReport:
         return self.summary.get("status") == PASS
 
     def failures(self) -> list[dict]:
-        return [
-            p
-            for p in self.points
-            if p.get("verdict") == FAIL or p.get("uniqueness") == FAIL
-        ]
+        return [p for p in self.points if _point_is(p, FAIL)]
 
     def to_payload(self) -> dict:
         return {
@@ -112,17 +108,20 @@ class TheoremReport:
         return rows
 
 
+def _point_is(p: dict, status: str) -> bool:
+    """A point has a status when its verdict or its uniqueness has it."""
+    return status in (p.get("verdict"), p.get("uniqueness"))
+
+
 def _summary(points: list[dict], extra: dict) -> dict:
-    """The verdict policy: a report fails when any point's verdict or
-    uniqueness fails, unless `extra` sets its own "status"."""
-    failed = sum(1 for p in points if FAIL in (p.get("verdict"), p.get("uniqueness")))
+    """The verdict policy: a report fails when any point fails (see
+    _point_is), unless `extra` sets its own "status"."""
+    failed = sum(_point_is(p, FAIL) for p in points)
     out = {
         "status": FAIL if failed else PASS,
         "points": len(points),
         "failed": failed,
-        "exceptions": sum(
-            1 for p in points if SMALL_N in (p.get("verdict"), p.get("uniqueness"))
-        ),
+        "exceptions": sum(_point_is(p, SMALL_N) for p in points),
     }
     out.update(extra)
     return out
@@ -135,9 +134,7 @@ def _small_n_finish(ctx: SimpleNamespace, points: list[dict]) -> dict:
     be ordered by increasing n."""
 
     def full_pass(p: dict) -> bool:
-        if p.get("verdict") != PASS:
-            return False
-        return p.get("uniqueness", PASS) == PASS
+        return p.get("verdict") == PASS and p.get("uniqueness", PASS) == PASS
 
     first = None
     for i in range(len(points), 0, -1):
@@ -149,10 +146,9 @@ def _small_n_finish(ctx: SimpleNamespace, points: list[dict]) -> dict:
         return {"first_fully_passing_n": None, "status": FAIL}
     for p in points:
         if p["n"] < first:
-            if p.get("verdict") == FAIL:
-                p["verdict"] = SMALL_N
-            if p.get("uniqueness") == FAIL:
-                p["uniqueness"] = SMALL_N
+            for key in ("verdict", "uniqueness"):
+                if p.get(key) == FAIL:
+                    p[key] = SMALL_N
     return {"first_fully_passing_n": first}
 
 
@@ -502,16 +498,12 @@ def verify_forest_theorem(
 
 
 def _tutte_berge_point(ctx: SimpleNamespace, point: dict, n: int) -> None:
-    mismatches = []
-    classes = 0
-    for g in enumerate_free(n, GraphFamily(), **ctx.opts):
-        classes += 1
-        nu = matching_number(g)
-        cert = tutte_berge_certificate(g)
-        if cert.value != nu:
-            mismatches.append(to_graph6(g))
+    graphs = list(enumerate_free(n, GraphFamily(), **ctx.opts))
+    mismatches = [
+        to_graph6(g) for g in graphs if tutte_berge_certificate(g).value != matching_number(g)
+    ]
     point.update(
-        classes=classes,
+        classes=len(graphs),
         mismatches=len(mismatches),
         verdict=PASS if not mismatches else FAIL,
         witnesses=mismatches,

@@ -5,6 +5,8 @@ from graph_builders import graph_from_pair_mask
 import matchturan.containment
 from matchturan.containment import (
     GraphFamily,
+    _plan,
+    _through_edge,
     contains_subgraph,
     contains_subgraph_using_edge,
     is_family_free,
@@ -162,6 +164,81 @@ def test_using_edge_exhaustive_small_hosts(monkeypatch):
                     assert got == expected, (to_graph6(host), to_graph6(pattern), u, v)
                     if not mask & bit:
                         assert not searches
+
+
+def _paw():
+    return add_edge(disjoint_union(complete(3), empty(1)), 2, 3)
+
+
+ANCHORED_PATTERNS = {
+    "K2": complete(2),
+    "P3": path(3),
+    "K3": complete(3),
+    "P4": path(4),
+    "C4": cycle(4),
+    "paw": _paw(),
+    "K1,3": complete_bipartite(1, 3),
+    "P3+K2": disjoint_union(path(3), complete(2)),
+    "K3+K1": disjoint_union(complete(3), empty(1)),
+}
+
+
+def _automorphisms(g):
+    return [
+        p for p in permutations(range(g.n))
+        if all(g.has_edge(p[a], p[b]) for a, b in g.edges())
+    ]
+
+
+def test_plan_holds_one_arc_per_automorphism_orbit():
+    for name, pattern in ANCHORED_PATTERNS.items():
+        for perm in [tuple(range(pattern.n)), tuple(reversed(range(pattern.n)))]:
+            g = relabel(pattern, perm)
+            autos = _automorphisms(g)
+            degs, arcs = _plan(g)
+            assert degs == tuple(g.degree(v) for v in range(g.n))
+            orbits = {
+                frozenset((p[a], p[b]) for p in autos)
+                for a, b in g.edges()
+                for a, b in ((a, b), (b, a))
+            }
+            assert len(arcs) == len(orbits), name
+            for orbit in orbits:
+                assert sum((a, b) in orbit for a, b, _ in arcs) == 1, name
+            # each search places every other non-isolated vertex once, after
+            # the neighbours it is checked against
+            for a, b, steps in arcs:
+                placed = [a, b] + [w for w, _, _ in steps]
+                assert sorted(placed) == [v for v in range(g.n) if g.degree(v)]
+                for i, (w, need, back) in enumerate(steps):
+                    assert need == g.degree(w)
+                    assert set(back) == {x for x in placed[: i + 2] if g.has_edge(w, x)}
+
+
+def test_anchored_search_matches_labelled_copies():
+    # every labelled host on <= 5 vertices and every host edge uv: a search
+    # through uv succeeds iff some labelled copy inside the host uses uv
+    for n in range(6):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        index = {pair: i for i, pair in enumerate(pairs)}
+        copies = [
+            (name, _plan(p), _labelled_copies(n, p, index))
+            for name, p in ANCHORED_PATTERNS.items()
+        ]
+        for mask in range(1 << len(pairs)):
+            host = graph_from_pair_mask(n, mask)
+            inside = [
+                (name, plan, [c for c in cps if c & mask == c])
+                for name, plan, cps in copies
+            ]
+            for (u, v), i in index.items():
+                if not mask >> i & 1:
+                    continue
+                for name, plan, cps in inside:
+                    expected = any(c >> i & 1 for c in cps)
+                    for x, y in ((u, v), (v, u)):
+                        got = _through_edge(host, plan, x, y)
+                        assert got == expected, (to_graph6(host), name, x, y)
 
 
 def test_family_dedup_and_membership():

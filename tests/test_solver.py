@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 
 from graph_builders import graph_from_pair_mask
+import matchturan.containment
 import matchturan.solver
 from matchturan.cli import main
 from matchturan.containment import (
@@ -16,6 +17,7 @@ from matchturan.containment import (
 )
 from matchturan.covering import family_fp
 from matchturan.graphs import (
+    Graph,
     add_edge,
     canonical_form,
     canonical_key,
@@ -104,6 +106,38 @@ def test_stream_matches_dedup_oracle(name):
         for workers in (1, 2):
             got = [g.adj for g in enumerate_free(n, family, workers=workers)]
             assert got == expected, (n, workers)
+
+
+def test_anchored_member_test_matches_dedup_oracle():
+    """Members with asymmetric arcs (paw, P5), isolated vertices (C4 + K1)
+    and several components (P3 + K2), alone and in a pair."""
+    paw = add_edge(disjoint_union(complete(3), empty(1)), 2, 3)
+    k4_minus_e = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    families = [
+        GraphFamily([paw]),
+        GraphFamily([path(5)]),
+        GraphFamily([disjoint_union(cycle(4), empty(1))]),
+        GraphFamily([disjoint_union(path(3), complete(2))]),
+        GraphFamily([k4_minus_e, cycle(5)]),
+    ]
+    for family in families:
+        for n in range(0, 8):
+            expected = _oracle_stream(n, family)
+            for workers in (1, 2):
+                got = [g.adj for g in enumerate_free(n, family, workers=workers)]
+                assert got == expected, (family, n, workers)
+
+
+def test_enumerator_makes_no_unanchored_search(monkeypatch):
+    families = [GraphFamily([complete(4)]), GraphFamily([cycle(5)])]
+    expected = [_oracle_stream(7, family) for family in families]
+
+    def no_search(host, pattern):
+        raise AssertionError("the enumerator ran an unanchored search")
+
+    monkeypatch.setattr(matchturan.containment, "_find_embedding", no_search)
+    for family, stream in zip(families, expected):
+        assert [g.adj for g in enumerate_free(7, family)] == stream
 
 
 def test_pool_forks_only_for_wide_levels(monkeypatch):
