@@ -8,10 +8,15 @@ representative carries generators of its automorphism group; its non-edges
 are tried one per orbit, a child is dropped when the new edge creates a
 forbidden subgraph, and a child is kept only when the new edge is
 equivalent to its canonical edge, so every class is produced once, with one
-canonical labelling, and no set is needed.  Freeness is monotone under
-edge deletion, so the pruning is exact, and the parent is family-free, so
-a member is created iff one search that maps a member edge onto the new
-edge succeeds (containment._plan, built once per member and enumeration).
+canonical labelling, and no set is needed.  Each non-edge takes the tests
+cheapest first: the first refinement round of the canonical-edge test, O(1)
+from degree tables built once per parent; the orbit mark; the member test;
+the rest of the canonical-edge test; canonical_form.  The first round
+depends only on degrees, so it is constant on an orbit and may run before
+the orbit is marked.  Freeness is monotone under edge deletion, so the
+pruning is exact, and the parent is family-free, so a member is created
+iff one search that maps a member edge onto the new edge succeeds
+(containment._plan, built once per member and enumeration).
 Each level is sorted by canonical adjacency, so the stream - and
 everything derived from it - is deterministic, with or without workers.
 With workers > 1, a level of at least PARENTS_PER_WORKER parents per
@@ -26,7 +31,6 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from multiprocessing import get_context
 from typing import Iterator
 
 from .containment import GraphFamily, Plan, _plan, _through_edge, minimalize
@@ -34,6 +38,7 @@ from .covering import family_fp, p_of_f
 from .graphs import (
     CanonicalForm,
     Graph,
+    _bits,
     _colors,
     _raw,
     _unit_refinement,
@@ -50,6 +55,14 @@ ENV_CEILING = "MATCHTURAN_CEILING"
 # at two workers (so >= 13); the empty family's widest at n = 7 (148) still
 # forks at eight (so <= 18).
 PARENTS_PER_WORKER = 16
+
+
+def get_context(method: str):
+    """multiprocessing.get_context, imported only when a level forks: the
+    import costs about 15 ms, and most processes never fork."""
+    import multiprocessing
+
+    return multiprocessing.get_context(method)
 
 
 class CeilingError(ValueError):
@@ -176,16 +189,6 @@ def _top_class(
     # An edge's colour is its sorted pair of endpoint colours under the
     # child's equitable refinement, an isomorphism invariant.  Returns the
     # edges of the largest colour when uv has it, else None.
-    # Refinement from one cell orders colours by degree first, so an edge
-    # whose endpoints both beat uv's smaller degree has a larger colour.
-    low = min(adj[u].bit_count(), adj[v].bit_count())
-    above = 0
-    for a in range(n):
-        if adj[a].bit_count() > low:
-            above |= 1 << a
-    for a in range(n):
-        if above >> a & 1 and adj[a] & above:
-            return None
     colors = _colors(n, _unit_refinement(n, adj))
     cu, cv = colors[u], colors[v]
     top = (cu, cv) if cu < cv else (cv, cu)
@@ -206,6 +209,32 @@ def _top_class(
     return out
 
 
+def _degree_tables(n: int, rows: tuple[int, ...]) -> tuple[list[int], list[int], int]:
+    # the degrees, above[t] = the vertices of degree > t, and tmax = the
+    # largest smaller-endpoint degree over the edges (0 without edges)
+    deg = [r.bit_count() for r in rows]
+    above = [0] * n
+    for a, d in enumerate(deg):
+        for t in range(d):
+            above[t] |= 1 << a
+    tmax = max((min(d, deg[b]) for a, d in enumerate(deg) for b in _bits(rows[a])), default=0)
+    return deg, above, tmax
+
+
+def _round0_rejects(
+    rows: tuple[int, ...], tables: tuple[list[int], list[int], int], u: int, v: int
+) -> bool:
+    # Round 0 on P + uv, for a non-edge uv of P, from P's _degree_tables.
+    # With low = the smaller child degree of u and v, an edge of P has both
+    # endpoints above low already (tmax > low), or gains it from the +1: the
+    # endpoint one degree above the other has a neighbour above low.
+    deg, above, tmax = tables
+    du, dv = deg[u], deg[v]
+    low = min(du, dv) + 1
+    hi = u if du > dv else v
+    return tmax > low or abs(du - dv) == 1 and rows[hi] & above[low] != 0
+
+
 def _expand_parents(
     n: int, parents: list[Labelled], members: list[tuple[int, Plan | None]]
 ) -> list[Labelled]:
@@ -215,13 +244,24 @@ def _expand_parents(
     the edge of C's largest edge colour (see _top_class) with the largest
     canonical image.  Then C is accepted only from the class representative
     of C - m(C), and only from one Aut(P)-orbit of non-edges, which the
-    parent's generators prune to a single representative."""
+    parent's generators prune to a single representative.
+
+    A non-edge first meets round 0 (_round0_rejects), then the orbit mark,
+    the member test, _top_class and canonical_form.  Round 0 is the first
+    refinement round's verdict, and refinement orders colours by degree
+    first: C is rejected when some edge has both endpoints of degree above
+    the smaller of u's and v's.  Aut(P) preserves degrees, so the verdict is
+    the same for every non-edge of an orbit, and an orbit it rejects needs
+    no mark."""
     out: list[Labelled] = []
     for rows, gens in parents:
+        tables = _degree_tables(n, rows)
         seen: set[tuple[int, int]] = set()
         for u in range(n):
             for v in range(u + 1, n):
                 if rows[u] >> v & 1 or (u, v) in seen:
+                    continue
+                if _round0_rejects(rows, tables, u, v):
                     continue
                 if gens:
                     seen |= _pair_orbit(u, v, gens)

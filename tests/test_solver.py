@@ -1,7 +1,11 @@
 import multiprocessing
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -385,3 +389,88 @@ def test_ex_payload_excludes_elapsed():
     assert "elapsed" not in payload and "elapsed_sec" not in payload
     assert payload["value"] == 4  # Mantel on 4 vertices
     assert all(from_graph6(w).n == 4 for w in payload["witnesses"])
+
+
+def _direct_round0_rejects(n, rows, u, v):
+    """Round 0 computed on the child P + uv: some edge has both endpoints of
+    degree > the smaller degree of u and v."""
+    child = list(rows)
+    child[u] |= 1 << v
+    child[v] |= 1 << u
+    deg = [r.bit_count() for r in child]
+    low = min(deg[u], deg[v])
+    return any(
+        deg[a] > low and deg[b] > low
+        for a in range(n)
+        for b in range(a + 1, n)
+        if child[a] >> b & 1
+    )
+
+
+def test_round0_tables_match_direct_rule_and_respect_orbits():
+    """On seeded random parents, the O(1) per-parent rule equals round 0 on
+    the child, is constant on Aut(P)-orbits of non-edges, and rejects only
+    children that _top_class rejects too."""
+    rng = random.Random(13)
+    rejected = accepted = 0
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        p = rng.random()
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        g = Graph(n, edges)
+        rows = g.adj
+        tables = matchturan.solver._degree_tables(n, rows)
+        gens = canonical_form(g).automorphisms
+        for u in range(n):
+            for v in range(u + 1, n):
+                if g.has_edge(u, v):
+                    continue
+                verdict = matchturan.solver._round0_rejects(rows, tables, u, v)
+                assert verdict == _direct_round0_rejects(n, rows, u, v), (g, u, v)
+                for a, b in matchturan.solver._pair_orbit(u, v, gens):
+                    assert matchturan.solver._round0_rejects(rows, tables, a, b) == verdict
+                if verdict:
+                    child = add_edge(g, u, v)
+                    assert matchturan.solver._top_class(n, child.adj, u, v) is None
+                rejected += verdict
+                accepted += not verdict
+    assert rejected > 500 and accepted > 500
+
+
+def test_enum_pair_call_counts(monkeypatch):
+    """Deterministic work on ex(8, {M4}) + ex(9, {M3}): round 0 runs before
+    the orbit mark and the member test, so each of those runs only on
+    children that round 0 keeps."""
+    names = ["_edge_creates_member", "_top_class", "_pair_orbit", "canonical_form"]
+    calls = Counter()
+    for name in names:
+        real = getattr(matchturan.solver, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(matchturan.solver, name, counting)
+    classes = sum(1 for _ in enumerate_free(8, GraphFamily([matching(4)])))
+    classes += sum(1 for _ in enumerate_free(9, GraphFamily([matching(3)])))
+    assert classes == 2090
+    assert calls == {
+        "_edge_creates_member": 4360,
+        "_top_class": 3945,
+        "_pair_orbit": 4753,
+        "canonical_form": 2105,
+    }
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    """Only a level that forks imports multiprocessing."""
+    src = str(Path(matchturan.solver.__file__).resolve().parent.parent)
+    code = "import sys, matchturan.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
