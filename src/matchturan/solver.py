@@ -9,13 +9,13 @@ are tried one per orbit, a child is dropped when the new edge creates a
 forbidden subgraph, and a child is kept only when the new edge is
 equivalent to its canonical edge, so every class is produced once, with one
 canonical labelling, and no set is needed.  Each non-edge takes the tests
-cheapest first: the first refinement round of the canonical-edge test, O(1)
-from degree tables built once per parent; the orbit mark; the member test;
-the rest of the canonical-edge test; canonical_form.  The first round
-depends only on degrees, so it is constant on an orbit and may run before
-the orbit is marked.  Freeness is monotone under edge deletion, so the
-pruning is exact, and the parent is family-free, so a member is created
-iff one search that maps a member edge onto the new edge succeeds
+cheapest first: the first refinement round of the canonical-edge test, one
+bit of masks built once per parent from its degrees; the orbit mark; the
+member test; the rest of the canonical-edge test; canonical_form.  The
+first round depends only on degrees, so it is constant on an orbit and may
+run before the orbit is marked.  Freeness is monotone under edge deletion,
+so the pruning is exact, and the parent is family-free, so a member is
+created iff one search that maps a member edge onto the new edge succeeds
 (containment._plan, built once per member and enumeration).
 Each level is sorted by canonical adjacency, so the stream - and
 everything derived from it - is deterministic, with or without workers.
@@ -38,7 +38,6 @@ from .covering import family_fp, p_of_f
 from .graphs import (
     CanonicalForm,
     Graph,
-    _bits,
     _colors,
     _raw,
     _unit_refinement,
@@ -209,30 +208,39 @@ def _top_class(
     return out
 
 
-def _degree_tables(n: int, rows: tuple[int, ...]) -> tuple[list[int], list[int], int]:
-    # the degrees, above[t] = the vertices of degree > t, and tmax = the
-    # largest smaller-endpoint degree over the edges (0 without edges)
+def _round0_rejects(n: int, rows: tuple[int, ...]) -> list[int]:
+    # Round 0 on P + uv for every non-edge uv of P: v is in mask u iff some
+    # edge of P + uv has both endpoints of degree above the smaller of u's
+    # and v's.  In P's degrees that bound is low = min(du, dv) + 1, and the
+    # edge is one of P with both degrees > low (min(du, dv) <= tmax - 2,
+    # tmax the largest smaller-endpoint degree of an edge), or, when
+    # du = dv + 1, one from u to a vertex of degree > du (u is hot), or the
+    # same with u and v swapped.
     deg = [r.bit_count() for r in rows]
-    above = [0] * n
+    above = [0] * n  # above[t]: the vertices of degree > t
+    by_degree = [0] * (n + 1)
     for a, d in enumerate(deg):
+        by_degree[d] |= 1 << a
         for t in range(d):
             above[t] |= 1 << a
-    tmax = max((min(d, deg[b]) for a, d in enumerate(deg) for b in _bits(rows[a])), default=0)
-    return deg, above, tmax
-
-
-def _round0_rejects(
-    rows: tuple[int, ...], tables: tuple[list[int], list[int], int], u: int, v: int
-) -> bool:
-    # Round 0 on P + uv, for a non-edge uv of P, from P's _degree_tables.
-    # With low = the smaller child degree of u and v, an edge of P has both
-    # endpoints above low already (tmax > low), or gains it from the +1: the
-    # endpoint one degree above the other has a neighbour above low.
-    deg, above, tmax = tables
-    du, dv = deg[u], deg[v]
-    low = min(du, dv) + 1
-    hi = u if du > dv else v
-    return tmax > low or abs(du - dv) == 1 and rows[hi] & above[low] != 0
+    hot = tmax = 0
+    for a, d in enumerate(deg):
+        if rows[a] & above[d]:
+            hot |= 1 << a
+        # an edge ab has min(d, deg[b]) > t iff d > t and b is in above[t]
+        for t in range(d - 1, tmax - 1, -1):
+            if rows[a] & above[t]:
+                tmax = t + 1
+                break
+    full = (1 << n) - 1
+    small = full & ~above[tmax - 2] if tmax >= 2 else 0  # degree <= tmax - 2
+    masks = []
+    for u, d in enumerate(deg):
+        mask = small | by_degree[d + 1] & hot
+        if hot >> u & 1:  # so d >= 1
+            mask |= by_degree[d - 1]
+        masks.append(full if small >> u & 1 else mask)
+    return masks
 
 
 def _expand_parents(
@@ -246,8 +254,9 @@ def _expand_parents(
     of C - m(C), and only from one Aut(P)-orbit of non-edges, which the
     parent's generators prune to a single representative.
 
-    A non-edge first meets round 0 (_round0_rejects), then the orbit mark,
-    the member test, _top_class and canonical_form.  Round 0 is the first
+    A non-edge first meets round 0, one bit of the masks _round0_rejects
+    builds once per parent from its degree tables, then the orbit mark, the
+    member test, _top_class and canonical_form.  Round 0 is the first
     refinement round's verdict, and refinement orders colours by degree
     first: C is rejected when some edge has both endpoints of degree above
     the smaller of u's and v's.  Aut(P) preserves degrees, so the verdict is
@@ -255,13 +264,12 @@ def _expand_parents(
     no mark."""
     out: list[Labelled] = []
     for rows, gens in parents:
-        tables = _degree_tables(n, rows)
+        rejects = _round0_rejects(n, rows)
         seen: set[tuple[int, int]] = set()
         for u in range(n):
+            skip = rows[u] | rejects[u]
             for v in range(u + 1, n):
-                if rows[u] >> v & 1 or (u, v) in seen:
-                    continue
-                if _round0_rejects(rows, tables, u, v):
+                if skip >> v & 1 or (u, v) in seen:
                     continue
                 if gens:
                     seen |= _pair_orbit(u, v, gens)

@@ -419,16 +419,16 @@ def test_round0_tables_match_direct_rule_and_respect_orbits():
         edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
         g = Graph(n, edges)
         rows = g.adj
-        tables = matchturan.solver._degree_tables(n, rows)
+        rejects = matchturan.solver._round0_rejects(n, rows)
         gens = canonical_form(g).automorphisms
         for u in range(n):
             for v in range(u + 1, n):
                 if g.has_edge(u, v):
                     continue
-                verdict = matchturan.solver._round0_rejects(rows, tables, u, v)
+                verdict = bool(rejects[u] >> v & 1)
                 assert verdict == _direct_round0_rejects(n, rows, u, v), (g, u, v)
                 for a, b in matchturan.solver._pair_orbit(u, v, gens):
-                    assert matchturan.solver._round0_rejects(rows, tables, a, b) == verdict
+                    assert bool(rejects[a] >> b & 1) == verdict
                 if verdict:
                     child = add_edge(g, u, v)
                     assert matchturan.solver._top_class(n, child.adj, u, v) is None
