@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import re
 import sys
@@ -179,32 +180,23 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    # the subparser dests are named after ConstructionSpec fields
+    names = {f.name for f in dataclasses.fields(ConstructionSpec)}
+    fields = {k: v for k, v in vars(args).items() if k in names}
+    if fields.get("objective") == "kr":
+        fields["objective"] = "kr_count"
     if args.construction == "gns":
         fam = parse_family(args.forbid)
-        spec = ConstructionSpec(
-            kind="gns",
-            n=args.n,
-            s=args.s,
-            r=args.r,
-            objective="kr_count" if args.objective == "kr" else "edges",
-            family_graph6=tuple(to_graph6(m) for m in fam),
-            family_label=fam.label,
-        )
-    elif args.construction == "clique":
-        spec = ConstructionSpec(kind="clique", s=args.s)
     elif args.construction == "forest-extremal":
-        f = parse_graph(args.forbidden)
-        fam = family_fp(f, args.p - 1)
-        spec = ConstructionSpec(
-            kind="forest_extremal",
-            n=args.n,
-            p=args.p,
-            t=args.t,
-            family_graph6=tuple(to_graph6(m) for m in fam),
-            family_label=fam.label,
-        )
+        fam = family_fp(parse_graph(args.forbidden), args.p - 1)
     else:
-        spec = ConstructionSpec(kind="turan", p=args.p, parts=args.k)
+        fam = GraphFamily()
+    spec = ConstructionSpec(
+        kind=args.construction.replace("-", "_"),
+        family_graph6=tuple(to_graph6(m) for m in fam),
+        family_label=fam.label,
+        **fields,
+    )
     t0 = time.perf_counter()
     graph, details = realize(
         spec, ceiling=getattr(args, "ceiling", None), workers=getattr(args, "workers", 1)
@@ -325,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     c_for.set_defaults(func=cmd_construct)
     c_tur = con_sub.add_parser("turan", help="balanced complete multipartite graph")
     c_tur.add_argument("--p", type=int, required=True)
-    c_tur.add_argument("--k", type=int, required=True, help="number of parts")
+    c_tur.add_argument("--k", dest="parts", metavar="K", type=int, required=True,
+                       help="number of parts")
     _add_common(c_tur, enumerates=False)
     c_tur.set_defaults(func=cmd_construct)
 

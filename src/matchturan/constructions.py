@@ -9,7 +9,7 @@ verifier compares brute-force witness sets against all of them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .containment import GraphFamily
 from .graphs import (
@@ -53,15 +53,6 @@ class GnsBuild:
         return [assemble_gns(self.n, self.s, q) for q in self.fillings]
 
 
-def _objective_value(q: Graph, n: int, s: int, objective: str, r: int | None) -> int:
-    if objective == "edges":
-        return s * (n - s) + q.edge_count()
-    if objective == "kr_count":
-        assert r is not None
-        return count_cliques(q, r - 1) * (n - s) + count_cliques(q, r)
-    raise ValueError(f"unknown objective {objective!r}")
-
-
 def build_g_n_s(
     n: int,
     s: int,
@@ -72,9 +63,10 @@ def build_g_n_s(
     ceiling: int | None = None,
     workers: int = 1,
 ) -> GnsBuild:
-    """Split construction with the family-free filling maximizing the stated
-    objective: total edges, or the r-clique count
-    N_{r-1}(filling)*(n-s) + N_r(filling).
+    """Split construction with the family-free filling maximizing the
+    construction's K_k count N_{k-1}(filling)*(n-s) + N_k(filling): k = r
+    for the `kr_count` objective, and k = 2 (total edges) for `edges`,
+    which takes no r.
 
     All maximizing fillings are kept (deterministically ordered); `graph`
     and `value` use the first."""
@@ -82,12 +74,13 @@ def build_g_n_s(
         raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
     if n > MAX_VERTICES:
         raise GraphCapacityError(f"{n} vertices exceeds capacity")
-    if objective == "kr_count" and r is None:
-        raise ValueError("objective 'kr_count' needs r")
+    if (objective, r is None) not in (("edges", True), ("kr_count", False)):
+        raise ValueError(f"objective {objective!r} with r={r}: want edges, or kr_count with r")
+    k = 2 if r is None else r
     best: int | None = None
     fillings: list[Graph] = []
     for q in enumerate_free(s, family, ceiling=ceiling, workers=workers):
-        val = _objective_value(q, n, s, objective, r)
+        val = count_cliques(q, k - 1) * (n - s) + count_cliques(q, k)
         if best is None or val > best:
             best = val
             fillings = [q]
@@ -138,12 +131,21 @@ def build_forest_extremal(
     return g
 
 
+# the spec fields each construction kind needs
+_REQUIRED_FIELDS = {
+    "gns": ("n", "s"),
+    "clique": ("s",),
+    "forest_extremal": ("n", "p", "t"),
+    "turan": ("p", "parts"),
+}
+
+
 @dataclass(frozen=True)
 class ConstructionSpec:
     """Serializable description of a candidate construction; `to_payload`
     is the `spec` section of the `construct` report."""
 
-    kind: str  # "gns" | "clique" | "forest_extremal" | "turan"
+    kind: str  # a key of _REQUIRED_FIELDS
     n: int | None = None
     s: int | None = None
     p: int | None = None
@@ -155,20 +157,13 @@ class ConstructionSpec:
     family_label: str = ""
 
     def validate(self) -> None:
-        if self.kind == "gns":
-            if self.n is None or self.s is None:
-                raise ValueError("gns needs n and s")
-        elif self.kind == "clique":
-            if self.s is None or self.s < 0:
-                raise ValueError("clique needs s >= 0")
-        elif self.kind == "forest_extremal":
-            if self.n is None or self.p is None or self.t is None:
-                raise ValueError("forest_extremal needs n, p, t")
-        elif self.kind == "turan":
-            if self.p is None or self.parts is None:
-                raise ValueError("turan needs p and parts")
-        else:
+        if self.kind not in _REQUIRED_FIELDS:
             raise ValueError(f"unknown construction kind {self.kind!r}")
+        needed = _REQUIRED_FIELDS[self.kind]
+        if any(getattr(self, name) is None for name in needed):
+            raise ValueError(f"{self.kind} needs {', '.join(needed)}")
+        if self.kind == "clique" and self.s < 0:
+            raise ValueError("clique needs s >= 0")
 
     def family(self) -> GraphFamily:
         return GraphFamily(
@@ -176,18 +171,9 @@ class ConstructionSpec:
         )
 
     def to_payload(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "s": self.s,
-            "p": self.p,
-            "t": self.t,
-            "parts": self.parts,
-            "r": self.r,
-            "objective": self.objective,
-            "family": list(self.family_graph6),
-            "family_label": self.family_label,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["family"] = list(payload.pop("family_graph6"))
+        return payload
 
 
 def realize(
@@ -196,16 +182,9 @@ def realize(
     """Build the graph a spec describes; returns it with a payload of
     construction details."""
     spec.validate()
+    opts = {"ceiling": ceiling, "workers": workers}
     if spec.kind == "gns":
-        build = build_g_n_s(
-            spec.n,
-            spec.s,
-            spec.family(),
-            spec.objective,
-            spec.r,
-            ceiling=ceiling,
-            workers=workers,
-        )
+        build = build_g_n_s(spec.n, spec.s, spec.family(), spec.objective, spec.r, **opts)
         return build.graph, {
             "value": build.value,
             "objective": build.objective,
@@ -215,9 +194,7 @@ def realize(
     if spec.kind == "clique":
         g = build_clique_candidate(spec.s)
     elif spec.kind == "forest_extremal":
-        g = build_forest_extremal(
-            spec.n, spec.p, spec.t, spec.family(), ceiling=ceiling, workers=workers
-        )
+        g = build_forest_extremal(spec.n, spec.p, spec.t, spec.family(), **opts)
     else:  # "turan", the one kind validate() leaves
         g = turan_graph(spec.p, spec.parts)
     return g, {"edges": g.edge_count()}

@@ -127,23 +127,26 @@ def _summary(points: list[dict], extra: dict) -> dict:
     return out
 
 
+def _suffix_start(points: list[dict], qualifies: Callable[[dict], bool]) -> int:
+    """Index where the longest run of qualifying points at the end of the
+    grid starts (len(points) when the last point does not qualify)."""
+    i = len(points)
+    while i > 0 and qualifies(points[i - 1]):
+        i -= 1
+    return i
+
+
 def _small_n_finish(ctx: SimpleNamespace, points: list[dict]) -> dict:
     """The small-n policy, as a theorem's `finish`: relabel failing points
     below the first fully-passing suffix as small-n exceptions, and record
     the suffix start; the report fails when no suffix passes.  Points must
     be ordered by increasing n."""
-
-    def full_pass(p: dict) -> bool:
-        return p.get("verdict") == PASS and p.get("uniqueness", PASS) == PASS
-
-    first = None
-    for i in range(len(points), 0, -1):
-        if full_pass(points[i - 1]):
-            first = points[i - 1]["n"]
-        else:
-            break
-    if first is None:
+    start = _suffix_start(
+        points, lambda p: p.get("verdict") == PASS and p.get("uniqueness", PASS) == PASS
+    )
+    if start == len(points):
         return {"first_fully_passing_n": None, "status": FAIL}
+    first = points[start]["n"]
     for p in points:
         if p["n"] < first:
             for key in ("verdict", "uniqueness"):
@@ -244,7 +247,7 @@ def _run(
 def _erdos_gallai_point(ctx: SimpleNamespace, point: dict, n: int, s: int) -> None:
     if n < 2 * s + 1:
         raise ValueError(f"need n >= 2s+1, got n={n}, s={s}")
-    fam = GraphFamily([matching(s + 1)], label=f"{{M{s + 1}}}")
+    fam = GraphFamily([matching(s + 1)])
     brute = ex_general(n, 2, fam, **ctx.opts)
     clique = complete(2 * s + 1)
     split = build_g_n_s(n, s, GraphFamily([complete(s + 1)]), "edges", **ctx.opts)
@@ -275,9 +278,7 @@ def _ma_hou_point(ctx: SimpleNamespace, point: dict, n: int, s: int, r: int, k: 
         raise ValueError(f"need n >= 2s+1, got n={n}, s={s}")
     if not 2 <= r <= k:
         raise ValueError(f"need k >= r >= 2, got r={r}, k={k}")
-    fam = GraphFamily(
-        [matching(s + 1), complete(k + 1)], label=f"{{M{s + 1},K{k + 1}}}"
-    )
+    fam = GraphFamily([matching(s + 1), complete(k + 1)])
     brute = ex_general(n, r, fam, **ctx.opts)
     clique_cand = turan_graph(2 * s + 1, min(k, 2 * s + 1))
     clique_val = count_cliques(clique_cand, r)
@@ -334,7 +335,7 @@ def _main_gate(ctx: SimpleNamespace) -> tuple[str | None, dict]:
 
 
 def _main_point(ctx: SimpleNamespace, point: dict, f_name: str, n: int, s: int, r: int) -> None:
-    forb = GraphFamily([matching(s + 1), ctx.f], label=f"{{M{s + 1},{f_name}}}")
+    forb = GraphFamily([matching(s + 1), ctx.f])
     brute = ex_general(n, r, forb, **ctx.opts)
     formula = ctx.ex_lower * (n - s) + ctx.ex_inner
     build = build_g_n_s(n, s, ctx.fam, "kr_count", r, **ctx.opts)
@@ -384,7 +385,7 @@ def _gerbner_gate(ctx: SimpleNamespace) -> tuple[str | None, dict]:
 
 
 def _gerbner_point(ctx: SimpleNamespace, point: dict, f_name: str, n: int, s: int) -> None:
-    forb = GraphFamily([matching(s + 1), ctx.f], label=f"{{M{s + 1},{f_name}}}")
+    forb = GraphFamily([matching(s + 1), ctx.f])
     brute = ex_general(n, 2, forb, **ctx.opts)
     point.update(
         brute=brute.value,
@@ -398,16 +399,13 @@ def _gerbner_finish(ctx: SimpleNamespace, points: list[dict]) -> dict:
     # the report passes only when the difference is constant over the whole
     # range; the longest constant suffix is recorded either way
     diffs = [p["difference"] for p in points]
-    constant = len(set(diffs)) <= 1
-    suffix_start = len(diffs) - 1
-    while suffix_start > 0 and diffs[suffix_start - 1] == diffs[-1]:
-        suffix_start -= 1
+    start = _suffix_start(points, lambda p: p["difference"] == diffs[-1])
     for i, p in enumerate(points):
-        p["verdict"] = PASS if constant or i >= suffix_start else FAIL
+        p["verdict"] = PASS if i >= start else FAIL
     return {
         "differences": diffs,
-        "constant": constant,
-        "constant_from_n": points[suffix_start]["n"] if points else None,
+        "constant": start == 0,
+        "constant_from_n": points[start]["n"] if points else None,
     }
 
 
@@ -462,7 +460,7 @@ def _forest_gate(ctx: SimpleNamespace) -> tuple[str | None, dict]:
 
 def _forest_point(ctx: SimpleNamespace, point: dict, f_name: str, n: int, s: int) -> None:
     p = ctx.p
-    forb = GraphFamily([ctx.f, matching(s + 1)], label=f"{{{f_name},M{s + 1}}}")
+    forb = GraphFamily([ctx.f, matching(s + 1)])
     brute = ex_general(n, 2, forb, **ctx.opts)
     formula = (p - 1) * (n - p + 1) + ctx.ex_fill
     predicted = _witness_set(

@@ -188,6 +188,12 @@ def test_env_ceiling_respected(monkeypatch, capsys):
     assert "ceiling" in capsys.readouterr().err
 
 
+def test_construct_refuses_r_with_edges(capsys):
+    argv = ["construct", "gns", "--n", "9", "--s", "2", "--forbid", "K3", "--r", "3"]
+    assert main(argv) == 2
+    assert "r=3" in capsys.readouterr().err
+
+
 def test_bad_graph_token_is_reported(capsys):
     assert main(["ex", "--n", "4", "--forbid", "Q3"]) == 2
     assert "error" in capsys.readouterr().err

@@ -88,6 +88,11 @@ def test_build_gns_errors():
     with pytest.raises(ValueError):
         # no filling is free when the family contains the single vertex
         build_g_n_s(5, 2, GraphFamily([graph_from_pair_mask(1, 0)]))
+    with pytest.raises(ValueError, match="r=3"):
+        build_g_n_s(5, 2, GraphFamily(), "edges", 3)  # edges takes no r
+    with pytest.raises(ValueError, match="widget"):
+        # refused before any filling is scored
+        build_g_n_s(5, 2, GraphFamily([graph_from_pair_mask(1, 0)]), "widget")
 
 
 def test_assemble_gns_layout():

@@ -61,6 +61,8 @@ def test_ma_hou_points_including_inadmissible_odd_clique():
 def test_ma_hou_rejects_bad_params():
     with pytest.raises(ValueError):
         verify_ma_hou([(5, 2, 3, 2)])  # r > k
+    with pytest.raises(ValueError):
+        verify_ma_hou([(4, 2, 2, 2)])  # n < 2s+1
 
 
 def test_main_theorem_triangle():
