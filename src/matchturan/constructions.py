@@ -76,6 +76,8 @@ def build_g_n_s(
         raise GraphCapacityError(f"{n} vertices exceeds capacity")
     if (objective, r is None) not in (("edges", True), ("kr_count", False)):
         raise ValueError(f"objective {objective!r} with r={r}: want edges, or kr_count with r")
+    if r is not None and r < 2:
+        raise ValueError(f"objective kr_count needs r >= 2, got r={r}")
     k = 2 if r is None else r
     best: int | None = None
     fillings: list[Graph] = []

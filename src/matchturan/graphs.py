@@ -271,8 +271,10 @@ class CanonicalForm:
 def _count_planes(adj: tuple[int, ...], f: int) -> list[int]:
     """Bit-sliced |N(v) & f|, a carry chain per row: bit v of planes[i] is bit i."""
     planes: list[int] = []
-    for v in _bits(f):
-        carry = adj[v]
+    while f:
+        b = f & -f
+        f ^= b
+        carry = adj[b.bit_length() - 1]
         for i, p in enumerate(planes):
             planes[i] = p ^ carry
             carry &= p
@@ -341,8 +343,10 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
 def _colors(n: int, cells: list[int]) -> list[int]:
     colors = [0] * n
     for i, cell in enumerate(cells):
-        for v in _bits(cell):
-            colors[v] = i
+        while cell:
+            b = cell & -cell
+            colors[b.bit_length() - 1] = i
+            cell ^= b
     return colors
 
 
@@ -359,6 +363,24 @@ def _unit_refinement(n: int, adj: tuple[int, ...]) -> list[int]:
         cells = _refine(adj, [(1 << n) - 1], [0])
         _last_unit = (adj, cells)
     return cells
+
+
+def _twin_order(adj: tuple[int, ...], cell: int) -> list[int] | None:
+    """The vertices of `cell` in ascending order if they are pairwise twins
+    (the same neighbours outside the cell, which is a clique or an
+    independent set), else None."""
+    z = (cell & -cell).bit_length() - 1
+    clique = adj[z] & cell
+    key = adj[z] | 1 << z if clique else adj[z]
+    order = []
+    while cell:
+        b = cell & -cell
+        cell ^= b
+        v = b.bit_length() - 1
+        if (adj[v] | b if clique else adj[v]) != key:
+            return None
+        order.append(v)
+    return order
 
 
 def _permuted_rows(n: int, adj: tuple[int, ...], perm: list[int]) -> tuple[int, ...]:
@@ -428,16 +450,24 @@ def canonical_form(g: Graph) -> CanonicalForm:
     - twins: a child w whose neighbourhood outside {z, w} equals that of the
       node's first child z, because the transposition (z w) is an
       automorphism;
+    - twin cells: when the target cell T is a class of pairwise twins (one
+      neighbourhood outside T, and T a clique or an independent set),
+      individualising its vertices splits no other cell, and every sibling
+      at the t - 1 levels of that path is a twin of the first child.  The
+      node splits T into singletons in ascending vertex order at once, with
+      no refinement, pushes the t - 1 individualised vertices onto the
+      path, and records (z w) for the least z and each other w of T;
     - backjumping: a leaf that repeats an earlier leaf's rows yields the
       automorphism sigma mapping it onto that leaf.  Refinement and
       individualisation commute with automorphisms, so sigma maps this
       leaf's path onto the earlier one; it fixes their common prefix and
       maps this path's next vertex to the earlier path's, and the search
       returns to the node where the two paths diverge.
-    Every twin transposition and every backjump's sigma is recorded.  Every
-    leaf equivalent to the first one is then explored or the image of an
-    explored one under recorded automorphisms, so they generate the whole
-    automorphism group (see CanonicalForm).
+    Every twin transposition and every backjump's sigma is recorded (a twin
+    cell's transpositions once its subtree is done, unless a backjump leaves
+    it).  Every leaf equivalent to the first one is then explored or the
+    image of an explored one under recorded automorphisms, so they generate
+    the whole automorphism group (see CanonicalForm).
     """
     n = g.n
     if n == 0:
@@ -474,6 +504,12 @@ def canonical_form(g: Graph) -> CanonicalForm:
             level += 1
         return level
 
+    def transpose(z: int, w: int) -> None:
+        # records the twin automorphism (z w)
+        swap = list(range(n))
+        swap[z], swap[w] = w, z
+        autos.append((tuple(swap), 1 << z | 1 << w, [z, w]))
+
     def descend(cells: list[int], prefix: int) -> int:
         # explores the subtree; returns the level at which the search goes on
         depth = len(path)
@@ -481,9 +517,29 @@ def canonical_form(g: Graph) -> CanonicalForm:
         if i < 0:
             return leaf(cells)
         cell = cells[i]
-        orbits = _Orbits(n, prefix)
         z = (cell & -cell).bit_length() - 1
-        for w in _bits(cell):
+        order = _twin_order(adj, cell)
+        if order:
+            # individualising its vertices in ascending order splits only the
+            # cell, so this node stands for the t - 1 levels of that path; a
+            # backjump to a level inside them finds only twins left there
+            path.extend(order[:-1])
+            level = descend(
+                [*cells[:i], *(1 << v for v in order), *cells[i + 1 :]],
+                prefix | cell ^ 1 << order[-1],
+            )
+            del path[depth:]
+            if level < depth:
+                return level
+            for w in order[1:]:
+                transpose(z, w)
+            return depth
+        orbits = _Orbits(n, prefix)
+        m = cell
+        while m:
+            b = m & -m
+            m ^= b
+            w = b.bit_length() - 1
             if w != z:
                 # each orbit is rooted at its least vertex, and every smaller
                 # vertex of the cell was tried or joined to a tried one
@@ -491,11 +547,8 @@ def canonical_form(g: Graph) -> CanonicalForm:
                 if orbits.find(w) != w:
                     continue
                 if adj[z] & ~(1 << w) == adj[w] & ~(1 << z):
-                    swap = list(range(n))
-                    swap[z], swap[w] = w, z
-                    autos.append((tuple(swap), 1 << z | 1 << w, [z, w]))
+                    transpose(z, w)
                     continue
-            b = 1 << w
             path.append(w)
             split = [*cells[:i], b, cell ^ b, *cells[i + 1 :]]
             level = descend(_refine(adj, split, [i, i + 1]), prefix | b)

@@ -384,22 +384,22 @@ def ex_general(
         raise ValueError(f"clique order must be >= 1, got {r}")
     t0 = time.perf_counter()
     best: int | None = None
-    witnesses: list[str] = []
+    tying: list[Graph] = []
     count = 0
     for g in enumerate_free(n, family, ceiling=ceiling, workers=workers):
         count += 1
         c = count_cliques(g, r)
         if best is None or c > best:
             best = c
-            witnesses = [to_graph6(g)]
+            tying = [g]
         elif c == best:
-            witnesses.append(to_graph6(g))
+            tying.append(g)
     return ExResult(
         n=n,
         r=r,
         family_label=family.label,
         value=best,
-        witnesses=tuple(sorted(witnesses)),
+        witnesses=tuple(sorted(map(to_graph6, tying))),
         enumerated_count=count,
         elapsed=time.perf_counter() - t0,
     )

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from matchturan import verifier
+from matchturan import constructions, verifier
 from matchturan.cli import main, parse_family, parse_graph, parse_range
 from matchturan.graphs import (
     canonical_key,
@@ -192,6 +192,16 @@ def test_construct_refuses_r_with_edges(capsys):
     argv = ["construct", "gns", "--n", "9", "--s", "2", "--forbid", "K3", "--r", "3"]
     assert main(argv) == 2
     assert "r=3" in capsys.readouterr().err
+
+
+def test_construct_refuses_kr_below_two_before_enumerating(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("enumerate_free called")
+
+    monkeypatch.setattr(constructions, "enumerate_free", never)
+    argv = ["construct", "gns", "--n", "5", "--s", "2", "--forbid", "K3", "--objective", "kr"]
+    assert main([*argv, "--r", "1"]) == 2
+    assert "error: objective kr_count needs r >= 2, got r=1" in capsys.readouterr().err
 
 
 def test_bad_graph_token_is_reported(capsys):

@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 import pytest
 
 from graph_builders import graph_from_pair_mask
+from matchturan import graphs
 from matchturan.containment import GraphFamily
 from matchturan.graphs import (
     CanonicalForm,
@@ -18,6 +19,7 @@ from matchturan.graphs import (
     _permuted_rows,
     _raw,
     _refine,
+    _twin_order,
     add_edge,
     canonical_form,
     canonical_key,
@@ -455,6 +457,84 @@ def test_canonical_form_matches_oracle_on_sparse_random_graphs(n):
 )
 def test_canonical_form_matches_oracle_on_symmetric_shapes(g):
     _assert_same_as_oracle(g)
+
+
+def test_twin_order_finds_cells_of_pairwise_twins():
+    g = join_all(complete(3), empty(3))  # true twins 0..2, false twins 3..5
+    assert _twin_order(g.adj, 0b000111) == [0, 1, 2]
+    assert _twin_order(g.adj, 0b111000) == [3, 4, 5]
+    assert _twin_order(g.adj, 0b111111) is None
+    p = path(4)  # 0 and 3 have equal degree, not equal neighbourhoods
+    assert _twin_order(p.adj, 0b1001) is None
+    assert _twin_order(p.adj, 0b0110) is None
+    assert _twin_order(add_edge(star(4), 1, 2).adj, 0b1110) is None  # partly twins
+
+
+def _blow_up(rng, base_n, isolated):
+    # each base vertex becomes 1-4 copies, pairwise adjacent (true twins) or
+    # not (false twins); then isolated vertices, and a random relabelling
+    base = {e for e in combinations(range(base_n), 2) if rng.random() < 0.5}
+    verts = [(v, c) for v in range(base_n) for c in range(rng.randint(1, 4))]
+    true = {v for v in range(base_n) if rng.random() < 0.5}
+    edges = [
+        (i, j)
+        for (i, (u, _)), (j, (v, _)) in combinations(enumerate(verts), 2)
+        if (u in true if u == v else (u, v) in base)
+    ]
+    n = len(verts) + isolated
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(Graph(n, edges), perm)
+
+
+def _twin_shapes():
+    rng = random.Random(15)
+    shapes = [
+        join_all(complete(4), empty(5)),
+        join_all(complete(3), disjoint_union(complete(3), empty(3))),
+        disjoint_union(star(5), empty(4)),
+        disjoint_union(disjoint_union(star(4), star(4)), empty(2)),
+        disjoint_union(complete(4), complete(4)),
+        complete_bipartite(3, 5),
+    ]
+    out = []
+    for g in shapes:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        out.append(relabel(g, perm))
+    out += [_blow_up(rng, rng.randint(1, 5), rng.randint(0, 3)) for _ in range(40)]
+    return out
+
+
+@pytest.mark.parametrize("g", _twin_shapes(), ids=lambda g: f"n{g.n}e{g.edge_count()}")
+def test_canonical_form_matches_oracle_on_twin_cells(g):
+    _assert_same_as_oracle(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [empty(64), complete(12), complete_bipartite(32, 32), turan_graph(64, 4)],
+    ids=["empty64", "K12", "K32,32", "T64,4"],
+)
+def test_twin_cells_split_without_refinement(g, monkeypatch):
+    # After the root, _refine only individualises a vertex of a cell that is
+    # not a class of pairwise twins; a twin cell splits in one step.
+    splits = []
+
+    def spy(adj, cells, splitters):
+        splits.append(cells[splitters[0]] | cells[splitters[-1]])
+        return _refine(adj, cells, splitters)
+
+    monkeypatch.setattr(graphs, "_refine", spy)
+    monkeypatch.setattr(graphs, "_last_unit", ((), []))
+    cf = canonical_form(g)
+    assert splits[0] == (1 << g.n) - 1
+    assert all(_twin_order(g.adj, cell) is None for cell in splits[1:])
+    if _twin_order(g.adj, splits[0]):
+        assert len(splits) == 1
+    assert len(cf.automorphisms) <= g.n - 1
+    for sigma in cf.automorphisms:
+        assert relabel(g, sigma) == g
 
 
 def test_canonical_form_is_dict_key():
