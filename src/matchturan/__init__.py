@@ -36,7 +36,6 @@ from .graphs import (
     GraphCapacityError,
     add_edge,
     canonical_form,
-    canonical_key,
     complete,
     complete_bipartite,
     cycle,

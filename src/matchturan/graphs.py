@@ -456,18 +456,29 @@ def canonical_form(g: Graph) -> CanonicalForm:
       at the t - 1 levels of that path is a twin of the first child.  The
       node splits T into singletons in ascending vertex order at once, with
       no refinement, pushes the t - 1 individualised vertices onto the
-      path, and records (z w) for the least z and each other w of T;
+      path, and records (z w) for the least z and each other w of T that
+      is not yet in z's orbit;
     - backjumping: a leaf that repeats an earlier leaf's rows yields the
       automorphism sigma mapping it onto that leaf.  Refinement and
       individualisation commute with automorphisms, so sigma maps this
       leaf's path onto the earlier one; it fixes their common prefix and
       maps this path's next vertex to the earlier path's, and the search
-      returns to the node where the two paths diverge.
+      returns to the node where the two paths diverge;
+    - component seeding: when the search first reaches a node's second
+      child, it records generators of the group that permutes isomorphic
+      connected components of at least 2 vertices (each copy's own, from
+      canonical_form on the component, and a swap of each consecutive pair
+      of copies), so orbit pruning no longer finds each swap by a descent.
+      Seeding only adds automorphisms: the rows and the permutation stay
+      those of the full tree.
     Every twin transposition and every backjump's sigma is recorded (a twin
     cell's transpositions once its subtree is done, unless a backjump leaves
     it).  Every leaf equivalent to the first one is then explored or the
     image of an explored one under recorded automorphisms, so they generate
-    the whole automorphism group (see CanonicalForm).
+    the whole automorphism group (see CanonicalForm).  The seeds generate
+    every automorphism that moves only vertices of the seeded components,
+    so of the automorphisms the search finds, only those that move another
+    vertex are returned after the seeds.
     """
     n = g.n
     if n == 0:
@@ -479,6 +490,8 @@ def canonical_form(g: Graph) -> CanonicalForm:
     first: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     autos: list[tuple[tuple[int, ...], int, list[int]]] = []
     path: list[int] = []  # the individualised vertices, one per level
+    seeds: list[tuple[int, ...]] | None = None  # set at the first second child met
+    seeded = 0  # the vertices the seeds move
 
     def leaf(cells: list[int]) -> int:
         # returns the level at which the search goes on
@@ -510,12 +523,23 @@ def canonical_form(g: Graph) -> CanonicalForm:
         swap[z], swap[w] = w, z
         autos.append((tuple(swap), 1 << z | 1 << w, [z, w]))
 
-    def descend(cells: list[int], prefix: int) -> int:
-        # explores the subtree; returns the level at which the search goes on
+    def seed() -> None:
+        nonlocal seeds, seeded
+        seeds = _component_generators(g)
+        for sigma in seeds:
+            moved = [v for v in range(n) if sigma[v] != v]
+            support = sum(1 << v for v in moved)
+            autos.append((sigma, support, moved))
+            seeded |= support
+
+    def descend(cells: list[int], prefix: int, i: int) -> int:
+        # explores the subtree; returns the level at which the search goes on.
+        # The cells before index i are singletons.
         depth = len(path)
-        i = next((i for i, c in enumerate(cells) if c & (c - 1)), -1)
-        if i < 0:
+        if len(cells) == n:
             return leaf(cells)
+        while not cells[i] & (cells[i] - 1):
+            i += 1
         cell = cells[i]
         z = (cell & -cell).bit_length() - 1
         order = _twin_order(adj, cell)
@@ -527,10 +551,17 @@ def canonical_form(g: Graph) -> CanonicalForm:
             level = descend(
                 [*cells[:i], *(1 << v for v in order), *cells[i + 1 :]],
                 prefix | cell ^ 1 << order[-1],
+                i + len(order),
             )
             del path[depth:]
             if level < depth:
                 return level
+            if any(s & cell and not s & prefix for _, s, _ in autos):
+                # recorded automorphisms that fix the prefix already join
+                # part of T: one transposition per other orbit suffices
+                orbits = _Orbits(n, prefix)
+                orbits.update(autos)
+                order = [w for w in order if orbits.find(w) == w]
             for w in order[1:]:
                 transpose(z, w)
             return depth
@@ -541,6 +572,8 @@ def canonical_form(g: Graph) -> CanonicalForm:
             m ^= b
             w = b.bit_length() - 1
             if w != z:
+                if seeds is None:
+                    seed()
                 # each orbit is rooted at its least vertex, and every smaller
                 # vertex of the cell was tried or joined to a tried one
                 orbits.update(autos)
@@ -551,7 +584,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
                     continue
             path.append(w)
             split = [*cells[:i], b, cell ^ b, *cells[i + 1 :]]
-            level = descend(_refine(adj, split, [i, i + 1]), prefix | b)
+            level = descend(_refine(adj, split, [i, i + 1]), prefix | b, i + 1)
             path.pop()
             if level < depth:
                 break
@@ -559,14 +592,76 @@ def canonical_form(g: Graph) -> CanonicalForm:
             level = depth
         return level
 
-    descend(_unit_refinement(n, adj), 0)
+    descend(_unit_refinement(n, adj), 0, 0)
     assert best_rows is not None
-    return CanonicalForm(_raw(n, best_rows), tuple(best_perm), tuple(a[0] for a in autos))
+    found = tuple(sigma for sigma, support, _ in autos if support & ~seeded)
+    return CanonicalForm(_raw(n, best_rows), tuple(best_perm), (*(seeds or ()), *found))
 
 
-def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Hashable isomorphism-class key (shorthand for canonical_form(g).key())."""
-    return canonical_form(g).key()
+def _component_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Generators of the group that permutes the isomorphic connected
+    components of g with at least 2 vertices: for each class of two or more
+    copies, each copy's own generators and one swap per consecutive pair of
+    copies, which maps the vertices of equal canonical position onto each
+    other.  The one-slot root-refinement cache is kept across the
+    per-component canonical forms."""
+    global _last_unit
+    n, adj = g.n, g.adj
+    by_size: dict[int, list[int]] = {}
+    for comp in _components(adj, (1 << n) - 1):
+        if comp & (comp - 1):
+            by_size.setdefault(comp.bit_count(), []).append(comp)
+    cache = _last_unit
+    forms: dict[Graph, CanonicalForm] = {}  # copies often induce equal rows
+    classes: dict[tuple, list[tuple[list[int], CanonicalForm]]] = {}
+    for comps in by_size.values():
+        if len(comps) > 1:
+            for comp in comps:
+                verts = list(_bits(comp))
+                sub = induced(g, verts)
+                if sub not in forms:
+                    forms[sub] = canonical_form(sub)
+                classes.setdefault(forms[sub].key(), []).append((verts, forms[sub]))
+    _last_unit = cache
+    gens = []
+    for copies in classes.values():
+        if len(copies) < 2:
+            continue
+        for verts, cf in copies:
+            for sigma in cf.automorphisms:
+                perm = list(range(n))
+                for i, v in enumerate(verts):
+                    perm[v] = verts[sigma[i]]
+                gens.append(tuple(perm))
+        for (verts, cf), (other, other_cf) in zip(copies, copies[1:]):
+            at = [0] * len(other)  # canonical position -> vertex of `other`
+            for i, p in enumerate(other_cf.permutation):
+                at[p] = other[i]
+            perm = list(range(n))
+            for i, p in enumerate(cf.permutation):
+                u, v = verts[i], at[p]
+                perm[u], perm[v] = v, u
+            gens.append(tuple(perm))
+    return gens
+
+
+def _components(adj: tuple[int, ...], mask: int) -> list[int]:
+    """Vertex masks of the connected components of the graph induced on
+    `mask`, ordered by lowest vertex."""
+    comps = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                reach |= adj[b.bit_length() - 1]
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        comps.append(comp)
+        mask &= ~comp
+    return comps
 
 
 # ---------------------------------------------------------------------------

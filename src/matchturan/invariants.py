@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, _components
 
 
 def count_cliques(g: Graph, r: int) -> int:
@@ -232,22 +232,7 @@ def is_msplus1_free(g: Graph, s: int) -> bool:
 def connected_components(g: Graph, within: int | None = None) -> list[int]:
     """Vertex bitmasks of the connected components of g (restricted to the
     `within` mask when given), ordered by lowest vertex."""
-    remaining = g.vertex_mask() if within is None else within
-    adj = g.adj
-    comps = []
-    while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= adj[v] & remaining
-            frontier = nxt & ~comp
-            comp |= frontier
-        comps.append(comp)
-        remaining &= ~comp
-    return comps
+    return _components(g.adj, g.vertex_mask() if within is None else within)
 
 
 TUTTE_BERGE_MAX_SETS = 50_000

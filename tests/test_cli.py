@@ -5,7 +5,6 @@ import pytest
 from matchturan import constructions, verifier
 from matchturan.cli import main, parse_family, parse_graph, parse_range
 from matchturan.graphs import (
-    canonical_key,
     complete,
     cycle,
     matching,

@@ -16,7 +16,7 @@ from matchturan.covering import (
 )
 from matchturan.graphs import (
     Graph,
-    canonical_key,
+    canonical_form,
     complete,
     complete_bipartite,
     cycle,
@@ -78,8 +78,8 @@ def test_family_fp_pentagon():
     for s in combinations(range(5), 3):
         rest = [v for v in range(5) if v not in s]
         if not any(c5.has_edge(u, v) for u in rest for v in rest if u < v):
-            induced_members.add(canonical_key(induced(c5, s)))
-    assert induced_members == {canonical_key(k2_k1)}
+            induced_members.add(canonical_form(induced(c5, s)).key())
+    assert induced_members == {canonical_form(k2_k1).key()}
 
 
 def test_family_fp_k4():
@@ -201,11 +201,11 @@ def test_is_color_critical_refuses_dense_random():
 def test_family_fp_members_stay_unminimalized():
     # the family keeps every induced cover subgraph, dedup only by isomorphism
     fam5 = family_fp(cycle(5), 5)
-    keys = {canonical_key(m) for m in fam5}
+    keys = {canonical_form(m).key() for m in fam5}
     assert keys == {
-        canonical_key(disjoint_union(complete(2), empty(1))),
-        canonical_key(path(4)),
-        canonical_key(cycle(5)),
+        canonical_form(disjoint_union(complete(2), empty(1))).key(),
+        canonical_form(path(4)).key(),
+        canonical_form(cycle(5)).key(),
     }
 
 

@@ -22,7 +22,6 @@ from matchturan.graphs import (
     _twin_order,
     add_edge,
     canonical_form,
-    canonical_key,
     complete,
     complete_bipartite,
     cycle,
@@ -40,7 +39,7 @@ from matchturan.graphs import (
     to_graph6,
     turan_graph,
 )
-from matchturan.solver import enumerate_free
+from matchturan.solver import _top_class, enumerate_free
 
 
 def test_empty_constructor():
@@ -77,7 +76,10 @@ def test_constructor_errors():
 
 
 def test_turan_graph():
-    assert canonical_key(turan_graph(5, 2)) == canonical_key(complete_bipartite(2, 3))
+    assert (
+        canonical_form(turan_graph(5, 2)).key()
+        == canonical_form(complete_bipartite(2, 3)).key()
+    )
     assert turan_graph(5, 2).edge_count() == 6
     assert turan_graph(4, 4) == complete(4)
     # parts 3,2,2: cross pairs 3*2 + 3*2 + 2*2
@@ -94,9 +96,9 @@ def test_turan_remainder_goes_to_early_parts():
 def test_disjoint_union_and_join():
     g = disjoint_union(complete(2), empty(1))
     assert g.n == 3 and g.edge_count() == 1
-    assert canonical_key(join_all(empty(2), empty(3))) == canonical_key(
+    assert canonical_form(join_all(empty(2), empty(3))).key() == canonical_form(
         complete_bipartite(2, 3)
-    )
+    ).key()
     rng = random.Random(7)
     for _ in range(30):
         a = graph_from_pair_mask(4, rng.randrange(1 << 6))
@@ -107,7 +109,7 @@ def test_disjoint_union_and_join():
 
 def test_induced():
     c5 = cycle(5)
-    assert canonical_key(induced(c5, [0, 1, 2])) == canonical_key(path(3))
+    assert canonical_form(induced(c5, [0, 1, 2])).key() == canonical_form(path(3)).key()
     g = graph_from_pair_mask(6, 0b101011010111)
     assert induced(g, range(6)) == g
     # hereditary: induced edges are exactly the original edges inside S
@@ -134,10 +136,10 @@ def _brute_isomorphic(g1, g2):
 
 def test_canonical_form_invariance():
     c5 = cycle(5)
-    key = canonical_key(c5)
+    key = canonical_form(c5).key()
     for perm in permutations(range(5)):
-        assert canonical_key(relabel(c5, perm)) == key
-    assert canonical_key(path(4)) != canonical_key(star(4))
+        assert canonical_form(relabel(c5, perm)).key() == key
+    assert canonical_form(path(4)).key() != canonical_form(star(4)).key()
 
 
 def test_canonical_classes_on_four_vertices():
@@ -149,7 +151,7 @@ def test_canonical_classes_on_four_vertices():
         if not any(_brute_isomorphic(g, r) for r in reps):
             reps.append(g)
     assert len(reps) == 11
-    assert len({canonical_key(g) for g in graphs}) == 11
+    assert len({canonical_form(g).key() for g in graphs}) == 11
 
 
 def test_canonical_matches_brute_isomorphism_on_five_vertices():
@@ -157,7 +159,8 @@ def test_canonical_matches_brute_isomorphism_on_five_vertices():
     for _ in range(60):
         g1 = graph_from_pair_mask(5, rng.randrange(1 << 10))
         g2 = graph_from_pair_mask(5, rng.randrange(1 << 10))
-        assert (canonical_key(g1) == canonical_key(g2)) == _brute_isomorphic(g1, g2)
+        same = canonical_form(g1).key() == canonical_form(g2).key()
+        assert same == _brute_isomorphic(g1, g2)
 
 
 def test_canonical_permutation_postcondition():
@@ -535,6 +538,96 @@ def test_twin_cells_split_without_refinement(g, monkeypatch):
     assert len(cf.automorphisms) <= g.n - 1
     for sigma in cf.automorphisms:
         assert relabel(g, sigma) == g
+
+
+def _union_of_copies(rng, bases, limit):
+    # 2-4 relabelled copies of each of `bases` random 2-4-vertex graphs, then
+    # a random remainder, kept to `limit` vertices and relabelled
+    parts = []
+    for _ in range(bases):
+        k = rng.randint(2, 4)
+        base = _random_graph(rng, k, rng.uniform(0.3, 1.0))
+        copies = rng.randint(2, 4)
+        parts += [relabel(base, rng.sample(range(k), k)) for _ in range(copies)]
+    parts.append(_random_graph(rng, rng.randint(0, 5), rng.random()))
+    g = empty(0)
+    for part in parts:
+        if g.n + part.n <= limit:
+            g = disjoint_union(g, part)
+    return relabel(g, rng.sample(range(g.n), g.n))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_canonical_form_matches_oracle_on_unions_of_copies(seed):
+    _assert_same_as_oracle(_union_of_copies(random.Random(seed), 1, 24))
+
+
+def test_seeded_generators_stay_few_and_keep_the_orbits(monkeypatch):
+    rng = random.Random(16)
+    unions = [_union_of_copies(rng, rng.randint(1, 3), 24) for _ in range(150)]
+    seeded = [canonical_form(g) for g in unions]
+    monkeypatch.setattr(graphs, "_component_generators", lambda g: [])
+    for g, cf in zip(unions, seeded):
+        assert len(cf.automorphisms) <= max(g.n - 1, 0), g
+        for sigma in cf.automorphisms:
+            assert relabel(g, sigma) == g
+        unseeded = canonical_form(g)
+        assert (cf.graph, cf.permutation) == (unseeded.graph, unseeded.permutation)
+        assert _closure_orbits(g.n, cf.automorphisms) == _closure_orbits(
+            g.n, unseeded.automorphisms
+        )
+
+
+def test_twin_cells_record_each_transposition_once():
+    # Beside three triangles, the search meets the C4's twin cells {0, 2} and
+    # {1, 3} below many nodes; recording (z w) at each visit gave 20
+    # generators on 13 vertices.
+    g = disjoint_union(_disjoint_cycles(3, 3), cycle(4))
+    g = relabel(g, random.Random(4).sample(range(g.n), g.n))
+    cf = canonical_form(g)
+    assert len(cf.automorphisms) <= g.n - 1
+    _assert_same_as_oracle(g)
+
+
+def _count_refinements(monkeypatch, g):
+    calls = []
+
+    def spy(adj, cells, splitters):
+        calls.append((adj, splitters))
+        return _refine(adj, cells, splitters)
+
+    monkeypatch.setattr(graphs, "_refine", spy)
+    monkeypatch.setattr(graphs, "_last_unit", ((), []))
+    return canonical_form(g), calls
+
+
+@pytest.mark.parametrize(
+    "g", [matching(20), _disjoint_cycles(12, 5)], ids=["M20", "12C5"]
+)
+def test_component_seeds_halve_the_refinements(g, monkeypatch):
+    # the per-component canonical forms' refinements count too
+    cf, calls = _count_refinements(monkeypatch, g)
+    monkeypatch.setattr(graphs, "_component_generators", lambda g: [])
+    _, unseeded = _count_refinements(monkeypatch, g)
+    assert len(calls) <= len(unseeded) // 2
+    assert len(cf.automorphisms) <= g.n - 1
+    for sigma in cf.automorphisms:
+        assert relabel(g, sigma) == g
+
+
+def test_component_seeding_keeps_the_root_refinement_cache(monkeypatch):
+    # The enumerator refines a child in _top_class, then canonicalizes it;
+    # the canonical forms of its two isomorphic P3s must not evict the
+    # child's root refinement from the one-slot cache.
+    child = disjoint_union(disjoint_union(path(3), empty(2)), path(3))
+    cf, calls = _count_refinements(monkeypatch, child)
+    assert any(adj != child.adj for adj, _ in calls)  # the P3s' own
+    calls.clear()
+    monkeypatch.setattr(graphs, "_last_unit", ((), []))
+    _top_class(child.n, child.adj, 0, 1)
+    for _ in range(2):
+        assert canonical_form(child).permutation == cf.permutation
+    assert calls.count((child.adj, [0])) == 1
 
 
 def test_canonical_form_is_dict_key():
