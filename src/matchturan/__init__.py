@@ -16,7 +16,6 @@ from .containment import (
     GraphFamily,
     contains_subgraph,
     contains_subgraph_using_edge,
-    is_family_free,
     minimalize,
 )
 from .covering import (
@@ -34,7 +33,6 @@ from .graphs import (
     Graph,
     Graph6Error,
     GraphCapacityError,
-    add_edge,
     canonical_form,
     complete,
     complete_bipartite,
@@ -56,12 +54,10 @@ from .graphs import (
 from .invariants import (
     ChromaticLimitError,
     TutteBergeCertificate,
-    TutteBergeLimitError,
     chromatic_number,
     clique_number,
     connected_components,
     count_cliques,
-    is_msplus1_free,
     matching_number,
     tutte_berge_certificate,
 )

@@ -180,12 +180,6 @@ class GraphFamily:
         return cls(read_graph6_lines(lines), label=label)
 
 
-def is_family_free(g: Graph, family: GraphFamily) -> bool:
-    """True iff no family member is a subgraph of g (vacuously true for the
-    empty family)."""
-    return not any(contains_subgraph(g, m) for m in family)
-
-
 def minimalize(family: GraphFamily) -> GraphFamily:
     """Drop members that contain another member as a subgraph; freeness
     semantics are unchanged for every host.  The kept members are already

@@ -200,17 +200,6 @@ def induced(g: Graph, vertices: Iterable[int]) -> Graph:
     return _raw(len(keep), rows)
 
 
-def add_edge(g: Graph, u: int, v: int) -> Graph:
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError(f"edge ({u},{v}) out of range for n={g.n}")
-    if u == v:
-        raise ValueError(f"loop at vertex {u}")
-    rows = list(g.adj)
-    rows[u] |= 1 << v
-    rows[v] |= 1 << u
-    return _raw(g.n, rows)
-
-
 def remove_edge(g: Graph, u: int, v: int) -> Graph:
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError(f"edge ({u},{v}) out of range for n={g.n}")
@@ -222,7 +211,10 @@ def remove_edge(g: Graph, u: int, v: int) -> Graph:
 
 def relabel(g: Graph, perm: Iterable[int]) -> Graph:
     """Image of g under the permutation perm (perm[v] = new index of v)."""
-    return _raw(g.n, _permuted_rows(g.n, g.adj, list(perm)))
+    perm = list(perm)
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError(f"relabel needs a permutation of range({g.n}), got {perm}")
+    return _raw(g.n, _permuted_rows(g.n, g.adj, perm))
 
 
 # ---------------------------------------------------------------------------

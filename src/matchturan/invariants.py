@@ -2,17 +2,14 @@
 and matching-duality certificates.
 
 Everything here is exact.  The matching number is polynomial (Edmonds'
-blossom algorithm); clique counting and the chromatic number are
-branch-and-bound searches, and the Tutte-Berge certificate is an exhaustive
-search over vertex sets, tuned for the desk-scale graphs the rest of the
-package produces.
+blossom algorithm), and so is the Tutte-Berge certificate, read off the
+same search; clique counting and the chromatic number are branch-and-bound
+searches, tuned for the desk-scale graphs the rest of the package produces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 
 from .graphs import Graph, _bits, _components
 
@@ -139,6 +136,13 @@ def matching_number(g: Graph) -> int:
     (J. Edmonds, Paths, trees, and flowers, 1965): a greedy matching, then
     one alternating-tree search per free vertex, contracting odd cycles
     (blossoms) to their base; O(n^3)."""
+    _, mate = _maximum_matching(g)
+    return (g.n - mate.count(-1)) // 2
+
+
+def _maximum_matching(g: Graph) -> tuple[list[list[int]], list[int]]:
+    # neighbour lists and the mate of each vertex (-1 if free) in a maximum
+    # matching
     n = g.n
     nbrs = [list(_bits(row)) for row in g.adj]
     mate = [-1] * n
@@ -148,27 +152,30 @@ def matching_number(g: Graph) -> int:
                 if mate[u] < 0:
                     mate[v], mate[u] = u, v
                     break
-    size = sum(1 for v in range(n) if mate[v] > v)
+    free = mate.count(-1)
     for root in range(n):
-        if n - 2 * size < 2:
+        if free < 2:
             break  # an augmenting path joins two free vertices
-        if mate[root] < 0 and _augment(nbrs, mate, root):
-            size += 1
-    return size
+        if mate[root] < 0 and _augment(nbrs, mate, [root]) is None:
+            free -= 2
+    return nbrs, mate
 
 
-def _augment(nbrs: list[list[int]], mate: list[int], root: int) -> bool:
-    # grow an alternating tree from the free vertex root; on reaching a free
-    # vertex, flip the path to it and return True
+def _augment(nbrs: list[list[int]], mate: list[int], roots: list[int]) -> list[bool] | None:
+    # grow an alternating forest from the free vertices roots; on reaching a
+    # free vertex outside it, flip the path to it and return None, else
+    # return the outer flags.  With several roots the matching must be
+    # maximum: the search follows no augmenting path between two trees.
     n = len(mate)
     base = list(range(n))  # the base of the blossom holding each vertex
     parent = [-1] * n  # tree parent of each inner (odd) vertex
-    outer = [False] * n  # in the tree at even distance from root
-    outer[root] = True
-    queue = [root]
+    outer = [False] * n  # in the forest at even distance from a root
+    for root in roots:
+        outer[root] = True
+    queue = list(roots)
 
     def common_base(a: int, b: int) -> int:
-        # the lowest even tree vertex on both paths to root
+        # the lowest even tree vertex on both paths to the root
         seen = [False] * n
         while True:
             a = base[a]
@@ -182,7 +189,7 @@ def _augment(nbrs: list[list[int]], mate: list[int], root: int) -> bool:
 
     def mark(v: int, top: int, child: int, blossom: list[bool]) -> None:
         # walk from v down to the blossom base top, re-pointing parents so
-        # that every vertex of the cycle can reach root alternately
+        # that every vertex of the cycle can reach the root alternately
         while base[v] != top:
             blossom[base[v]] = blossom[base[mate[v]]] = True
             parent[v] = child
@@ -196,7 +203,7 @@ def _augment(nbrs: list[list[int]], mate: list[int], root: int) -> bool:
         for u in nbrs[v]:
             if base[v] == base[u] or mate[v] == u:
                 continue
-            if u == root or (mate[u] >= 0 and parent[mate[u]] >= 0):
+            if (outer[u] and mate[u] < 0) or (mate[u] >= 0 and parent[mate[u]] >= 0):
                 # an edge between two outer vertices closes a blossom
                 top = common_base(v, u)
                 blossom = [False] * n
@@ -216,17 +223,10 @@ def _augment(nbrs: list[list[int]], mate: list[int], root: int) -> bool:
                         w = mate[v]
                         mate[u], mate[v] = v, u
                         u = w
-                    return True
+                    return None
                 outer[mate[u]] = True
                 queue.append(mate[u])
-    return False
-
-
-def is_msplus1_free(g: Graph, s: int) -> bool:
-    """True iff g has no matching of s+1 edges."""
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
-    return matching_number(g) <= s
+    return outer
 
 
 def connected_components(g: Graph, within: int | None = None) -> list[int]:
@@ -235,18 +235,11 @@ def connected_components(g: Graph, within: int | None = None) -> list[int]:
     return _components(g.adj, g.vertex_mask() if within is None else within)
 
 
-TUTTE_BERGE_MAX_SETS = 50_000
-
-
-class TutteBergeLimitError(ValueError):
-    """Raised when the Tutte-Berge scan would visit more than
-    TUTTE_BERGE_MAX_SETS vertex sets (about 0.4 s)."""
-
-
 @dataclass(frozen=True)
 class TutteBergeCertificate:
     """Vertex set B minimizing |B| + sum(floor(|C|/2)) over the components C
-    of G - B; that minimum equals the matching number."""
+    of G - B (sorted sizes in component_sizes); that minimum, value, equals
+    the matching number."""
 
     b: tuple[int, ...]
     component_sizes: tuple[int, ...]
@@ -254,32 +247,16 @@ class TutteBergeCertificate:
 
 
 def tutte_berge_certificate(g: Graph) -> TutteBergeCertificate:
-    """Exhaustive search for the minimizing set, by increasing |B| with the
-    cut |B| >= best value; ties broken by lexicographically least B.  It scans
-    every set of at most matching_number(g) vertices, and raises
-    TutteBergeLimitError when they are more than TUTTE_BERGE_MAX_SETS."""
-    n = g.n
-    sets = sum(comb(n, k) for k in range(matching_number(g) + 1))
-    if sets > TUTTE_BERGE_MAX_SETS:
-        raise TutteBergeLimitError(f"{sets} vertex sets to scan, over {TUTTE_BERGE_MAX_SETS}")
-    full = g.vertex_mask()
-    best_val: int | None = None
-    best_b: tuple[int, ...] = ()
-    best_sizes: tuple[int, ...] = ()
-    for size in range(n + 1):
-        if best_val is not None and size > best_val:
-            break
-        for b in combinations(range(n), size):
-            bmask = 0
-            for v in b:
-                bmask |= 1 << v
-            sizes = sorted(
-                comp.bit_count() for comp in connected_components(g, full & ~bmask)
-            )
-            val = size + sum(c // 2 for c in sizes)
-            if best_val is None or val < best_val or (val == best_val and b < best_b):
-                best_val = val
-                best_b = b
-                best_sizes = tuple(sizes)
-    assert best_val is not None
-    return TutteBergeCertificate(b=best_b, component_sizes=best_sizes, value=best_val)
+    """The Gallai-Edmonds set B = A(G) (Lovasz and Plummer, Matching Theory,
+    1986, ch. 3): grow one alternating forest from every free vertex of a
+    maximum matching; its outer vertices are D(G), the vertices some maximum
+    matching misses, and B = N(D) - D.  The value is counted from B and the
+    components of G - B alone, so it bounds the matching number from above
+    whatever B is, and equals it because B is a minimizer; O(n^3)."""
+    nbrs, mate = _maximum_matching(g)
+    outer = _augment(nbrs, mate, [v for v in range(g.n) if mate[v] < 0])
+    assert outer is not None  # the matching is maximum
+    b = tuple(v for v in range(g.n) if not outer[v] and any(outer[u] for u in nbrs[v]))
+    rest = g.vertex_mask() & ~sum(1 << v for v in b)
+    sizes = tuple(sorted(c.bit_count() for c in connected_components(g, rest)))
+    return TutteBergeCertificate(b, sizes, len(b) + sum(c // 2 for c in sizes))

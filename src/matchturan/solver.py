@@ -412,7 +412,7 @@ class ExProfile:
 
     r: int
     s: int
-    p_limit: int | float
+    p_limit: int
     points: tuple[tuple[int, int], ...]
     t: int | None
 
@@ -427,10 +427,9 @@ def ex_profile(
 ) -> ExProfile:
     """Profile p -> ex(p, K_{r-1}, cover-family(F, p)) for the p admissible
     under the matching bound s, with the argmax t (smallest on ties)."""
-    pf = p_of_f(f)
-    p_limit = min(s + 1, pf)
+    p_limit = min(s + 1, p_of_f(f))  # p(F) is infinite or an int
     points = []
-    for p in range(1, int(p_limit) if p_limit != float("inf") else s + 1):
+    for p in range(1, p_limit):
         fam = family_fp(f, p)
         value = ex_general(p, r - 1, fam, ceiling=ceiling, workers=workers).value
         assert value is not None  # within the admissible range a free graph exists

@@ -511,9 +511,10 @@ def _tutte_berge_point(ctx: SimpleNamespace, point: dict, n: int) -> None:
 def verify_tutte_berge(
     n_max: int, *, ceiling: int | None = None, workers: int = 1
 ) -> TheoremReport:
-    """For every isomorphism class on up to n_max vertices, the exhaustive
-    certificate value equals the matching number (both sides computed
-    independently)."""
+    """For every isomorphism class on up to n_max vertices, the certificate
+    value, counted from its set B and the components of G - B, equals the
+    matching number: any B bounds the matching number from above, so
+    equality proves both sides."""
     if n_max > 7:
         raise CeilingError(f"certificate sweep capped at n=7, got {n_max}")
     rows = [(n,) for n in range(1, n_max + 1)]

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from graph_builders import graph_from_pair_mask
+from graph_builders import graph_from_pair_mask, is_family_free
 from matchturan.constructions import (
     ConstructionSpec,
     assemble_gns,
@@ -12,7 +12,7 @@ from matchturan.constructions import (
     build_g_n_s,
     realize,
 )
-from matchturan.containment import GraphFamily, is_family_free
+from matchturan.containment import GraphFamily
 from matchturan.covering import family_fp
 from matchturan.graphs import (
     canonical_form,

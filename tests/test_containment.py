@@ -1,7 +1,7 @@
 import random
 from itertools import permutations
 
-from graph_builders import graph_from_pair_mask
+from graph_builders import add_edge, graph_from_pair_mask, is_family_free
 import matchturan.containment
 from matchturan.containment import (
     GraphFamily,
@@ -9,12 +9,10 @@ from matchturan.containment import (
     _through_edge,
     contains_subgraph,
     contains_subgraph_using_edge,
-    is_family_free,
     minimalize,
 )
 from matchturan.covering import family_fp
 from matchturan.graphs import (
-    add_edge,
     complete,
     complete_bipartite,
     cycle,

@@ -4,8 +4,9 @@ from itertools import combinations
 
 import pytest
 
+from graph_builders import is_family_free
 import matchturan.covering
-from matchturan.containment import GraphFamily, contains_subgraph, is_family_free
+from matchturan.containment import GraphFamily, contains_subgraph
 from matchturan.covering import (
     INFINITE,
     all_coverings,

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from graph_builders import graph_from_pair_mask
+from graph_builders import add_edge, graph_from_pair_mask
 from matchturan import graphs
 from matchturan.containment import GraphFamily
 from matchturan.graphs import (
@@ -20,7 +20,6 @@ from matchturan.graphs import (
     _raw,
     _refine,
     _twin_order,
-    add_edge,
     canonical_form,
     complete,
     complete_bipartite,
@@ -126,6 +125,16 @@ def test_add_remove_edge():
     assert remove_edge(g2, 1, 3) == g
     with pytest.raises(ValueError):
         add_edge(g, 0, 4)
+
+
+def test_relabel_rejects_non_permutations():
+    g = path(3)
+    assert relabel(g, (2, 1, 0)) == g
+    # a repeated index used to give a looped, asymmetric Graph, a negative
+    # one a bare "negative shift count"
+    for perm in ([0, 0, 1], [-1, 0, 1], [0, 1], [0, 1, 2, 3], [1, 2, 3]):
+        with pytest.raises(ValueError, match=r"^relabel needs a permutation of range\(3\)"):
+            relabel(g, perm)
 
 
 def _brute_isomorphic(g1, g2):

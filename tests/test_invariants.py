@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from graph_builders import graph_from_pair_mask
+from graph_builders import add_edge, graph_from_pair_mask
 from matchturan.graphs import (
     Graph,
     complete,
@@ -13,7 +13,6 @@ from matchturan.graphs import (
     cycle,
     disjoint_union,
     empty,
-    add_edge,
     matching,
     path,
     relabel,
@@ -22,14 +21,12 @@ from matchturan.graphs import (
 )
 from matchturan.invariants import (
     CHROMATIC_MAX_NODES,
-    TUTTE_BERGE_MAX_SETS,
     ChromaticLimitError,
-    TutteBergeLimitError,
+    TutteBergeCertificate,
     chromatic_number,
     clique_number,
     connected_components,
     count_cliques,
-    is_msplus1_free,
     matching_number,
     tutte_berge_certificate,
 )
@@ -184,9 +181,10 @@ def test_matching_number_structured():
     assert matching_number(turan_graph(9, 3)) == 4
 
 
-def _oracle_matching_number(g):
+def _oracle_matching_number(g, avail=None):
     """The memoized search matching_number used before the blossom:
-    exponential, exact."""
+    exponential, exact.  With avail, the matching number of the subgraph
+    induced on that vertex mask."""
     adj = g.adj
     memo = {}
 
@@ -224,7 +222,7 @@ def _oracle_matching_number(g):
         memo[avail] = best
         return best
 
-    return rec((1 << g.n) - 1)
+    return rec(g.vertex_mask() if avail is None else avail)
 
 
 def test_blossom_matches_oracle_on_small_graphs():
@@ -274,14 +272,6 @@ def test_matching_number_is_fast_on_sparse_40_vertex_graphs():
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_is_msplus1_free():
-    assert is_msplus1_free(complete(5), 2)
-    assert not is_msplus1_free(matching(3), 2)
-    assert is_msplus1_free(empty(10), 0)
-    with pytest.raises(ValueError):
-        is_msplus1_free(empty(1), -1)
-
-
 def test_connected_components():
     g = disjoint_union(complete(3), path(2))
     comps = connected_components(g)
@@ -289,6 +279,7 @@ def test_connected_components():
 
 
 def test_tutte_berge_examples():
+    assert tutte_berge_certificate(empty(0)) == TutteBergeCertificate((), (), 0)
     cert = tutte_berge_certificate(complete(5))
     assert cert.b == () and cert.value == 2 and cert.component_sizes == (5,)
     cert = tutte_berge_certificate(star(5))
@@ -297,39 +288,93 @@ def test_tutte_berge_examples():
     assert cert.b == () and cert.value == 2
 
 
-def test_tutte_berge_equals_matching_number_exhaustive():
-    # duality in both directions on every isomorphism class up to 6 vertices
-    for n in range(1, 7):
-        for g in enumerate_free(n, GraphFamily(), ceiling=7):
-            assert tutte_berge_certificate(g).value == matching_number(g)
+def _tutte_berge_min_brute(g):
+    """The least |B| + sum(floor(|C|/2)) over every vertex set B, by the
+    exhaustive scan tutte_berge_certificate ran before it used the blossom."""
+    full = g.vertex_mask()
+    return min(
+        bmask.bit_count() + sum(c.bit_count() // 2 for c in connected_components(g, full & ~bmask))
+        for bmask in range(1 << g.n)
+    )
+
+
+@pytest.fixture(scope="module")
+def classes_up_to_7():
+    # one randomly relabelled representative of every class on 1..7 vertices
+    rng = random.Random(7)
+    return [
+        relabel(rep, rng.sample(range(n), n))
+        for n in range(1, 8)
+        for rep in enumerate_free(n, GraphFamily(), ceiling=7)
+    ]
+
+
+def test_tutte_berge_equals_matching_number_exhaustive(classes_up_to_7):
+    # duality on every isomorphism class up to 7 vertices: the certificate,
+    # the minimum over every vertex set and the blossom all agree
+    assert len(classes_up_to_7) == 1252
+    for g in classes_up_to_7:
+        value = tutte_berge_certificate(g).value
+        assert value == _tutte_berge_min_brute(g) == matching_number(g), g
+
+
+def test_tutte_berge_b_is_the_gallai_edmonds_set(classes_up_to_7):
+    # b = A(G) = N(D) - D, with D = {v : nu(G - v) = nu(G)} found by the
+    # exponential matching oracle, not by the alternating forest
+    for g in classes_up_to_7:
+        full = g.vertex_mask()
+        nu = _oracle_matching_number(g)
+        d = [v for v in range(g.n) if _oracle_matching_number(g, full & ~(1 << v)) == nu]
+        dmask = sum(1 << v for v in d)
+        near = 0
+        for v in d:
+            near |= g.adj[v]
+        want = tuple(v for v in range(g.n) if (near & ~dmask) >> v & 1)
+        cert = tutte_berge_certificate(g)
+        assert cert.b == want, g
+        rest = full & ~sum(1 << v for v in want)
+        sizes = sorted(c.bit_count() for c in connected_components(g, rest))
+        assert cert.component_sizes == tuple(sizes), g
+
+
+def test_tutte_berge_value_on_random_graphs_up_to_64_vertices():
+    rng = random.Random(65)
+    for _ in range(150):
+        n = rng.randrange(1, 65)
+        g = _random_graph(rng, n, rng.choice([0.02, 0.05, 3 / n, 0.1, 0.3, 0.7]))
+        assert tutte_berge_certificate(g).value == matching_number(g)
 
 
 def test_tutte_berge_tie_break_deterministic():
-    from matchturan.graphs import Graph
-
-    # double star: either centre alone (or both) minimizes at value 2
+    # double star: {0}, {1} and {0, 1} all reach value 2; b is A(G), the
+    # vertices outside D(G) next to it, so both centres
     g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
     cert = tutte_berge_certificate(g)
     assert cert == tutte_berge_certificate(g)
     assert cert.value == 2 == matching_number(g)
-    assert cert.b == (0,)  # lexicographically least among the minimizers
+    assert cert.b == (0, 1)
 
 
-def test_tutte_berge_refuses_a_long_scan_quickly():
-    # G(20, 0.3): the scan over every set of at most nu vertices took ~5 s
-    rng = random.Random(20)
-    g = Graph(20, [e for e in combinations(range(20), 2) if rng.random() < 0.3])
-    sets = sum(comb(20, k) for k in range(matching_number(g) + 1))
-    assert sets > TUTTE_BERGE_MAX_SETS
-    t0 = time.perf_counter()
-    with pytest.raises(TutteBergeLimitError, match=f"^{sets} vertex sets to scan"):
-        tutte_berge_certificate(g)
-    assert time.perf_counter() - t0 < 0.1
+def test_tutte_berge_is_fast_on_64_vertex_probes():
+    # G(20, 0.3) was refused after the old scan over vertex sets reached ~5 s
+    probes = [
+        _random_graph(random.Random(20), 20, 0.3),
+        _random_graph(random.Random(64), 64, 0.5),
+        _random_graph(random.Random(3), 64, 3 / 64),
+        complete(64),
+        empty(64),
+        matching(32),
+    ]
+    for g in probes:
+        t0 = time.perf_counter()
+        cert = tutte_berge_certificate(g)
+        assert time.perf_counter() - t0 < 0.05
+        assert cert.value == matching_number(g)
 
 
 def test_split_construction_is_matching_bounded():
     # the 2-part covers every edge, so no 3 disjoint edges exist
     g = complete_bipartite(2, 8)
     for extra in (g, add_edge(g, 0, 1)):
-        assert is_msplus1_free(extra, 2)
+        assert matching_number(extra) <= 2
         assert tutte_berge_certificate(extra).value <= 2

@@ -9,20 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from graph_builders import graph_from_pair_mask
+from graph_builders import add_edge, graph_from_pair_mask, is_family_free
 import matchturan.containment
 import matchturan.solver
 from matchturan.cli import main
 from matchturan.containment import (
     GraphFamily,
     contains_subgraph,
-    is_family_free,
     minimalize,
 )
 from matchturan.covering import family_fp
 from matchturan.graphs import (
     Graph,
-    add_edge,
     canonical_form,
     complete,
     cycle,
