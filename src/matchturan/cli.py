@@ -227,6 +227,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # attribute after import sees every run
     run = getattr(verifier, theorem.function)
     report = run(*theorem.expand(*values), **kwargs)
+    if not report.points:
+        raise ValueError(f"the {args.theorem} grid has no points")
     for p in report.points:
         params = ",".join(
             f"{k}={v}" for k, v in p.items()

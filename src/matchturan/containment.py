@@ -18,7 +18,6 @@ from .graphs import (
     Graph,
     _bits,
     canonical_form,
-    read_graph6_lines,
     remove_edge,
     to_graph6,
 )
@@ -165,19 +164,6 @@ class GraphFamily:
     def to_lines(self) -> list[str]:
         """Serialize as a label header plus one graph6 line per member."""
         return [f"# {self.label}"] + [to_graph6(m) for m in self.members]
-
-    @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> "GraphFamily":
-        """Inverse of to_lines: the label is the first non-empty comment
-        before the first graph."""
-        lines = list(lines)
-        label = ""
-        for line in lines:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                break
-            label = label or line.lstrip("#").strip()
-        return cls(read_graph6_lines(lines), label=label)
 
 
 def minimalize(family: GraphFamily) -> GraphFamily:

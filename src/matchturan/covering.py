@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .containment import GraphFamily
-from .graphs import Graph, canonical_form, complete, induced, remove_edge, to_graph6
-from .invariants import _colorable, chromatic_number, connected_components
+from .graphs import Graph, _bits, canonical_form, complete, induced, remove_edge, to_graph6
+from .invariants import _colorable, chromatic_number
 
 INFINITE = math.inf
 
@@ -86,28 +86,20 @@ def p_of_f(f: Graph) -> int | float:
     """Minimum size of an independent covering: for bipartite f this is the
     smallest colour-class size summed per component; INFINITE when the
     chromatic number is at least 3."""
-    color = [-1] * f.n
-    total = 0
-    for comp in connected_components(f):
-        members = [v for v in range(f.n) if comp >> v & 1]
-        if len(members) == 1:
-            continue  # isolated vertices never need covering
-        seed = members[0]
-        color[seed] = 0
-        frontier = [seed]
-        sides = [0, 0]
-        sides[0] += 1
-        while frontier:
-            v = frontier.pop()
-            for u in range(f.n):
-                if f.adj[v] >> u & 1:
-                    if color[u] == -1:
-                        color[u] = color[v] ^ 1
-                        sides[color[u]] += 1
-                        frontier.append(u)
-                    elif color[u] == color[v]:
-                        return INFINITE  # odd cycle
-        total += min(sides)
+    total, rest = 0, f.vertex_mask()
+    while rest:
+        layer = rest & -rest
+        a = b = 0  # the component's two colour classes, swapped at each BFS layer
+        while layer:
+            rest &= ~layer
+            reach = 0
+            for v in _bits(layer):
+                if f.adj[v] & layer:
+                    return INFINITE  # an edge inside a BFS layer closes an odd cycle
+                reach |= f.adj[v]
+            a, b = b, a + layer.bit_count()
+            layer = reach & rest
+        total += min(a, b)
     return total
 
 

@@ -22,7 +22,7 @@ class Graph6Error(ValueError):
 
 
 class Graph:
-    __slots__ = ("n", "adj", "_hash")
+    __slots__ = ("n", "adj", "_hash", "_root")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -40,6 +40,7 @@ class Graph:
         self.n = n
         self.adj = tuple(rows)
         self._hash = -1
+        self._root = None
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
@@ -78,6 +79,7 @@ def _raw(n: int, rows: Iterable[int]) -> Graph:
     g.n = n
     g.adj = tuple(rows)
     g._hash = -1
+    g._root = None
     return g
 
 
@@ -100,6 +102,8 @@ def empty(n: int) -> Graph:
 
 def complete(n: int) -> Graph:
     """K_n."""
+    if n < 0:
+        raise ValueError(f"negative vertex count {n}")
     if n > MAX_VERTICES:
         raise GraphCapacityError(f"K_{n} exceeds capacity")
     full = (1 << n) - 1
@@ -342,19 +346,13 @@ def _colors(n: int, cells: list[int]) -> list[int]:
     return colors
 
 
-_last_unit: tuple = ((), [])
-
-
-def _unit_refinement(n: int, adj: tuple[int, ...]) -> list[int]:
-    """The equitable refinement of the one-cell colouring of adj, as cells.
-    The last answer is kept: the enumerator refines a child and then
-    canonicalizes the same child.  Callers must not mutate the list."""
-    global _last_unit
-    key, cells = _last_unit
-    if key != adj:
-        cells = _refine(adj, [(1 << n) - 1], [0])
-        _last_unit = (adj, cells)
-    return cells
+def _root_cells(g: Graph) -> list[int]:
+    """The equitable refinement of g's one-cell colouring, as cells, kept on
+    g: the enumerator refines a child and then canonicalizes the same child.
+    Callers must not mutate the list."""
+    if g._root is None:
+        g._root = _refine(g.adj, [(1 << g.n) - 1], [0])
+    return g._root
 
 
 def _twin_order(adj: tuple[int, ...], cell: int) -> list[int] | None:
@@ -584,7 +582,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
             level = depth
         return level
 
-    descend(_unit_refinement(n, adj), 0, 0)
+    descend(_root_cells(g), 0, 0)
     assert best_rows is not None
     found = tuple(sigma for sigma, support, _ in autos if support & ~seeded)
     return CanonicalForm(_raw(n, best_rows), tuple(best_perm), (*(seeds or ()), *found))
@@ -595,15 +593,12 @@ def _component_generators(g: Graph) -> list[tuple[int, ...]]:
     components of g with at least 2 vertices: for each class of two or more
     copies, each copy's own generators and one swap per consecutive pair of
     copies, which maps the vertices of equal canonical position onto each
-    other.  The one-slot root-refinement cache is kept across the
-    per-component canonical forms."""
-    global _last_unit
+    other."""
     n, adj = g.n, g.adj
     by_size: dict[int, list[int]] = {}
     for comp in _components(adj, (1 << n) - 1):
         if comp & (comp - 1):
             by_size.setdefault(comp.bit_count(), []).append(comp)
-    cache = _last_unit
     forms: dict[Graph, CanonicalForm] = {}  # copies often induce equal rows
     classes: dict[tuple, list[tuple[list[int], CanonicalForm]]] = {}
     for comps in by_size.values():
@@ -614,7 +609,6 @@ def _component_generators(g: Graph) -> list[tuple[int, ...]]:
                 if sub not in forms:
                     forms[sub] = canonical_form(sub)
                 classes.setdefault(forms[sub].key(), []).append((verts, forms[sub]))
-    _last_unit = cache
     gens = []
     for copies in classes.values():
         if len(copies) < 2:

@@ -40,9 +40,8 @@ from .graphs import (
     Graph,
     _colors,
     _raw,
-    _unit_refinement,
+    _root_cells,
     canonical_form,
-    from_graph6,
     to_graph6,
 )
 from .invariants import count_cliques
@@ -182,13 +181,12 @@ def _pair_orbit(
     return orbit
 
 
-def _top_class(
-    n: int, adj: tuple[int, ...], u: int, v: int
-) -> list[tuple[int, int]] | None:
+def _top_class(child: Graph, u: int, v: int) -> list[tuple[int, int]] | None:
     # An edge's colour is its sorted pair of endpoint colours under the
     # child's equitable refinement, an isomorphism invariant.  Returns the
     # edges of the largest colour when uv has it, else None.
-    colors = _colors(n, _unit_refinement(n, adj))
+    n, adj = child.n, child.adj
+    colors = _colors(n, _root_cells(child))
     cu, cv = colors[u], colors[v]
     top = (cu, cv) if cu < cv else (cv, cu)
     out = []
@@ -279,7 +277,7 @@ def _expand_parents(
                 child = _raw(n, child_rows)
                 if members and _edge_creates_member(child, members, u, v):
                     continue
-                top = _top_class(n, child.adj, u, v)
+                top = _top_class(child, u, v)
                 if top is None:
                     continue
                 cf = canonical_form(child)
@@ -363,9 +361,6 @@ class ExResult:
 
     def payload_bytes(self) -> bytes:
         return json.dumps(self.to_payload(), sort_keys=True).encode()
-
-    def witness_graphs(self) -> list[Graph]:
-        return [from_graph6(w) for w in self.witnesses]
 
 
 def ex_general(

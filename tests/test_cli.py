@@ -166,6 +166,21 @@ def test_cmd_verify_tutte_berge(capsys):
     assert main(["verify", "tutte-berge", "--n", "1..4"]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["erdos-gallai", "--n", "1..2", "--s", "1"],
+        ["ma-hou", "--n", "3..4", "--s", "2", "--r", "3", "--k", "2"],
+        ["tutte-berge", "--n", "0"],
+    ],
+    ids=["erdos-gallai", "ma-hou", "tutte-berge"],
+)
+def test_cmd_verify_refuses_an_empty_grid(argv, tmp_path, capsys):
+    assert main(["verify", *argv, "--out", str(tmp_path)]) == 2
+    assert "grid has no points" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cmd_verify_pentagon(capsys):
     assert main(["verify", "pentagon"]) == 0
 

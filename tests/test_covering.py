@@ -27,6 +27,7 @@ from matchturan.graphs import (
     join_all,
     matching,
     path,
+    relabel,
     remove_edge,
     star,
 )
@@ -125,6 +126,28 @@ def test_p_of_f():
     for v in range(4):
         rest = [u for u in range(4) if u != v]
         assert any(p4.has_edge(a, b) for a in rest for b in rest if a < b)
+
+
+def _min_independent_cover(f):
+    # brute force: the smallest S with S and V - S both independent
+    full = f.vertex_mask()
+    sizes = [
+        s.bit_count()
+        for s in range(full + 1)
+        if not any(f.adj[v] & (s if s >> v & 1 else full & ~s) for v in range(f.n))
+    ]
+    return min(sizes, default=INFINITE)
+
+
+def test_p_of_f_matches_brute_force_on_every_class_up_to_7_vertices():
+    rng = random.Random(19)
+    seen = 0
+    for n in range(8):
+        for g in enumerate_free(n, GraphFamily(), ceiling=7):
+            g = relabel(g, rng.sample(range(n), n))
+            assert p_of_f(g) == _min_independent_cover(g), g
+            seen += 1
+    assert seen == 1 + 1 + 2 + 4 + 11 + 34 + 156 + 1044
 
 
 def test_edgeless_member_iff_p_reaches_independent_cover_size():

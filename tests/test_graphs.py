@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 import pytest
 
 from graph_builders import add_edge, graph_from_pair_mask
-from matchturan import graphs
+from matchturan import graphs, solver
 from matchturan.containment import GraphFamily
 from matchturan.graphs import (
     CanonicalForm,
@@ -38,7 +38,7 @@ from matchturan.graphs import (
     to_graph6,
     turan_graph,
 )
-from matchturan.solver import _top_class, enumerate_free
+from matchturan.solver import enumerate_free
 
 
 def test_empty_constructor():
@@ -72,6 +72,8 @@ def test_constructor_errors():
         turan_graph(5, 0)
     with pytest.raises(ValueError):
         turan_graph(3, 4)
+    with pytest.raises(ValueError, match="negative vertex count -1"):
+        complete(-1)
 
 
 def test_turan_graph():
@@ -538,8 +540,7 @@ def test_twin_cells_split_without_refinement(g, monkeypatch):
         return _refine(adj, cells, splitters)
 
     monkeypatch.setattr(graphs, "_refine", spy)
-    monkeypatch.setattr(graphs, "_last_unit", ((), []))
-    cf = canonical_form(g)
+    cf = canonical_form(_raw(g.n, g.adj))  # a copy with no root refinement yet
     assert splits[0] == (1 << g.n) - 1
     assert all(_twin_order(g.adj, cell) is None for cell in splits[1:])
     if _twin_order(g.adj, splits[0]):
@@ -606,8 +607,7 @@ def _count_refinements(monkeypatch, g):
         return _refine(adj, cells, splitters)
 
     monkeypatch.setattr(graphs, "_refine", spy)
-    monkeypatch.setattr(graphs, "_last_unit", ((), []))
-    return canonical_form(g), calls
+    return canonical_form(_raw(g.n, g.adj)), calls  # a copy with no root refinement yet
 
 
 @pytest.mark.parametrize(
@@ -624,19 +624,44 @@ def test_component_seeds_halve_the_refinements(g, monkeypatch):
         assert relabel(g, sigma) == g
 
 
-def test_component_seeding_keeps_the_root_refinement_cache(monkeypatch):
-    # The enumerator refines a child in _top_class, then canonicalizes it;
-    # the canonical forms of its two isomorphic P3s must not evict the
-    # child's root refinement from the one-slot cache.
-    child = disjoint_union(disjoint_union(path(3), empty(2)), path(3))
-    cf, calls = _count_refinements(monkeypatch, child)
-    assert any(adj != child.adj for adj, _ in calls)  # the P3s' own
-    calls.clear()
-    monkeypatch.setattr(graphs, "_last_unit", ((), []))
-    _top_class(child.n, child.adj, 0, 1)
-    for _ in range(2):
-        assert canonical_form(child).permutation == cf.permutation
-    assert calls.count((child.adj, [0])) == 1
+def test_each_child_is_refined_from_the_root_once(monkeypatch):
+    # The enumerator refines a child in _top_class, then canonicalizes the
+    # same child object, which reuses that refinement, also when component
+    # seeding canonicalizes the child's isomorphic components first.
+    roots = []  # the adjacency rows of every root refinement, in order
+    children = {}  # id -> child, held so that no id is reused
+    seeded = 0
+
+    def refine(adj, cells, splitters):
+        if splitters == [0]:
+            roots.append(adj)
+        return _refine(adj, cells, splitters)
+
+    def top_class(child, u, v, _real=solver._top_class):
+        assert id(child) not in children
+        children[id(child)] = child
+        before = len(roots)
+        out = _real(child, u, v)
+        assert roots[before:] == [child.adj]
+        return out
+
+    def canonical(g, _real=solver.canonical_form):
+        nonlocal seeded
+        before = len(roots)
+        cf = _real(g)
+        if id(g) in children:
+            assert g.adj not in roots[before:]
+            seeded += len(roots) > before
+        return cf
+
+    monkeypatch.setattr(graphs, "_refine", refine)
+    monkeypatch.setattr(solver, "_top_class", top_class)
+    monkeypatch.setattr(solver, "canonical_form", canonical)
+    classes = sum(1 for _ in enumerate_free(8, GraphFamily([matching(3)])))
+    assert classes == 115 and len(children) > classes
+    assert seeded > 0  # some children's components were canonicalized
+    # one root refinement per child, plus the empty root's
+    assert sum(len(a) == 8 for a in roots) == len(children) + 1
 
 
 def test_canonical_form_is_dict_key():

@@ -235,7 +235,7 @@ def test_ex_erdos_gallai_point():
     fam = GraphFamily([matching(3)], label="{M3}")
     res = ex_general(6, 2, fam)
     assert res.value == 10
-    wits = res.witness_graphs()
+    wits = [from_graph6(w) for w in res.witnesses]
     assert len(wits) == 1
     k5_k1 = disjoint_union(complete(5), empty(1))
     assert canonical_form(wits[0]).key() == canonical_form(k5_k1).key()
@@ -274,7 +274,7 @@ def test_ex_same_under_minimalization():
 def test_ex_witnesses_reverify():
     fam = GraphFamily([matching(3)], label="{M3}")
     res = ex_general(7, 2, fam)
-    for w in res.witness_graphs():
+    for w in map(from_graph6, res.witnesses):
         assert w.n == 7
         assert is_family_free(w, fam)
         assert count_cliques(w, 2) == res.value
@@ -429,7 +429,7 @@ def test_round0_tables_match_direct_rule_and_respect_orbits():
                     assert bool(rejects[a] >> b & 1) == verdict
                 if verdict:
                     child = add_edge(g, u, v)
-                    assert matchturan.solver._top_class(n, child.adj, u, v) is None
+                    assert matchturan.solver._top_class(child, u, v) is None
                 rejected += verdict
                 accepted += not verdict
     assert rejected > 500 and accepted > 500
