@@ -8,6 +8,8 @@ processes without copying or locks.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
@@ -295,10 +297,12 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
     groups = [[cells[i] for i in splitters]]
     while groups:
         masks: list[int] = []  # highest colour first
+        reach = 0  # the neighbours of the counted fragments: no other cell splits
         for frags in reversed(groups):
             k = len(frags)
             if k == 1:
                 masks += reversed(_count_planes(adj, frags[0]))
+                reach = -1
                 continue
             if k == 2:
                 big = frags[1].bit_count() >= frags[0].bit_count()
@@ -308,13 +312,17 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
                 flip = -(j == big)  # -1: complement
                 f = sum(frags[:j]) if flip else frags[j]
                 if f & (f - 1):
-                    masks += [p ^ flip for p in reversed(_count_planes(adj, f))]
+                    planes = _count_planes(adj, f)
+                    masks += [p ^ flip for p in reversed(planes)]
+                    for p in planes:
+                        reach |= p
                 else:
                     masks.append(adj[f.bit_length() - 1] ^ flip)
+                    reach |= adj[f.bit_length() - 1]
         new: list[int] = []
         groups = []
         for cell in cells:
-            if not cell & (cell - 1):
+            if not cell & (cell - 1) or not cell & reach:
                 new.append(cell)
                 continue
             parts = None
@@ -334,6 +342,11 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
                 groups.append(parts)
         cells = new
     return cells
+
+
+def _support(sigma: tuple[int, ...]) -> int:
+    """The mask of the vertices sigma moves."""
+    return sum(1 << v for v, x in enumerate(sigma) if x != v)
 
 
 def _colors(n: int, cells: list[int]) -> list[int]:
@@ -375,6 +388,17 @@ def _twin_order(adj: tuple[int, ...], cell: int) -> list[int] | None:
 
 def _permuted_rows(n: int, adj: tuple[int, ...], perm: list[int]) -> tuple[int, ...]:
     rows = [0] * n
+    if n >= 16 and sum(map(int.bit_count, adj)) > 8 * n:
+        # dense: one row is a string of n bits, highest first, whose
+        # characters move as one itemgetter call
+        inv = [0] * n
+        for v, p in enumerate(perm):
+            inv[p] = v
+        pick = itemgetter(*[n - 1 - inv[i] for i in range(n - 1, -1, -1)])
+        form = f"0{n}b"
+        for v in range(n):
+            rows[perm[v]] = int("".join(pick(format(adj[v], form))), 2)
+        return tuple(rows)
     for v in range(n):
         acc = 0
         m = adj[v]
@@ -387,17 +411,19 @@ def _permuted_rows(n: int, adj: tuple[int, ...], perm: list[int]) -> tuple[int, 
 
 
 class _Orbits:
-    """Orbits of the automorphisms found so far that fix a search node's
-    individualised prefix (a mask), as a union-find fed only the ones added
-    since it last looked.  One fixes the prefix iff its support mask misses
-    it, and needs unions only over its moved vertices; it preserves the
-    node's colouring, so the target cell's orbits stay inside the cell."""
+    """Orbits on a search node's target cell of the automorphisms found so
+    far that fix the node's individualised prefix (a mask), as a union-find
+    fed only the ones added since it last looked.  One fixes the prefix iff
+    its support mask misses it; it preserves the node's colouring, so it
+    maps the cell onto itself, and only the moved vertices of the cell need
+    unions.  Each orbit is rooted at its least vertex."""
 
-    __slots__ = ("parent", "prefix", "seen")
+    __slots__ = ("parent", "prefix", "cell", "seen")
 
-    def __init__(self, n: int, prefix: int):
+    def __init__(self, n: int, prefix: int, cell: int):
         self.parent = list(range(n))
         self.prefix = prefix
+        self.cell = cell
         self.seen = 0
 
     def find(self, v: int) -> int:
@@ -406,14 +432,42 @@ class _Orbits:
             parent[v] = v = parent[parent[v]]
         return v
 
-    def update(self, autos: list[tuple[tuple[int, ...], int, list[int]]]) -> None:
-        for sigma, support, moved in autos[self.seen :]:
-            if not support & self.prefix:
-                for v in moved:
-                    a, b = self.find(v), self.find(sigma[v])
-                    if a != b:
-                        self.parent[max(a, b)] = min(a, b)
+    def update(self, autos: list[tuple[tuple[int, ...], int]]) -> bool:
+        """Takes in the automorphisms added since the last update; True if
+        they joined two orbits."""
+        joined = False
+        parent, cell, prefix = self.parent, self.cell, self.prefix
+        for sigma, support in autos[self.seen :]:
+            m = support & cell
+            if m and not support & prefix:
+                while m:
+                    b = m & -m
+                    m ^= b
+                    a = b.bit_length() - 1
+                    c = sigma[a]
+                    while parent[a] != a:
+                        parent[a] = a = parent[parent[a]]
+                    while parent[c] != c:
+                        parent[c] = c = parent[parent[c]]
+                    if a != c:
+                        if a < c:
+                            parent[c] = a
+                        else:
+                            parent[a] = c
+                        joined = True
         self.seen = len(autos)
+        return joined
+
+    def roots(self, mask: int) -> int:
+        """The vertices of `mask` that root their orbit."""
+        parent = self.parent
+        out = 0
+        while mask:
+            b = mask & -mask
+            mask ^= b
+            if parent[b.bit_length() - 1] == b.bit_length() - 1:
+                out |= b
+        return out
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -478,9 +532,9 @@ def canonical_form(g: Graph) -> CanonicalForm:
     best_rows: tuple[int, ...] | None = None
     best_perm: list[int] = []
     first: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-    autos: list[tuple[tuple[int, ...], int, list[int]]] = []
+    autos: list[tuple[tuple[int, ...], int]] = []  # (sigma, support mask)
     path: list[int] = []  # the individualised vertices, one per level
-    seeds: list[tuple[int, ...]] | None = None  # set at the first second child met
+    seeds: list[tuple[tuple[int, ...], int]] | None = None  # set at the first second child met
     seeded = 0  # the vertices the seeds move
 
     def leaf(cells: list[int]) -> int:
@@ -500,8 +554,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
         for v, c in enumerate(earlier_colors):
             inv[c] = v
         sigma = tuple(inv[c] for c in colors)  # this leaf onto the earlier one
-        moved = [v for v in range(n) if sigma[v] != v]
-        autos.append((sigma, sum(1 << v for v in moved), moved))
+        autos.append((sigma, _support(sigma)))
         level = 0
         while path[level] == earlier_path[level]:
             level += 1
@@ -511,15 +564,13 @@ def canonical_form(g: Graph) -> CanonicalForm:
         # records the twin automorphism (z w)
         swap = list(range(n))
         swap[z], swap[w] = w, z
-        autos.append((tuple(swap), 1 << z | 1 << w, [z, w]))
+        autos.append((tuple(swap), 1 << z | 1 << w))
 
     def seed() -> None:
         nonlocal seeds, seeded
         seeds = _component_generators(g)
-        for sigma in seeds:
-            moved = [v for v in range(n) if sigma[v] != v]
-            support = sum(1 << v for v in moved)
-            autos.append((sigma, support, moved))
+        autos.extend(seeds)
+        for _, support in seeds:
             seeded |= support
 
     def descend(cells: list[int], prefix: int, i: int) -> int:
@@ -546,16 +597,16 @@ def canonical_form(g: Graph) -> CanonicalForm:
             del path[depth:]
             if level < depth:
                 return level
-            if any(s & cell and not s & prefix for _, s, _ in autos):
+            orbits = _Orbits(n, prefix, cell)
+            if orbits.update(autos):
                 # recorded automorphisms that fix the prefix already join
                 # part of T: one transposition per other orbit suffices
-                orbits = _Orbits(n, prefix)
-                orbits.update(autos)
-                order = [w for w in order if orbits.find(w) == w]
+                roots = orbits.roots(cell)
+                order = [w for w in order if roots >> w & 1]
             for w in order[1:]:
                 transpose(z, w)
             return depth
-        orbits = _Orbits(n, prefix)
+        orbits = _Orbits(n, prefix, cell)
         m = cell
         while m:
             b = m & -m
@@ -564,11 +615,12 @@ def canonical_form(g: Graph) -> CanonicalForm:
             if w != z:
                 if seeds is None:
                     seed()
-                # each orbit is rooted at its least vertex, and every smaller
-                # vertex of the cell was tried or joined to a tried one
-                orbits.update(autos)
-                if orbits.find(w) != w:
-                    continue
+                if orbits.update(autos):
+                    # every vertex of the cell below w was tried or joined to
+                    # a tried one, so only the orbit roots are left to try
+                    m = orbits.roots(m)
+                    if orbits.find(w) != w:
+                        continue
                 if adj[z] & ~(1 << w) == adj[w] & ~(1 << z):
                     transpose(z, w)
                     continue
@@ -584,42 +636,53 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
     descend(_root_cells(g), 0, 0)
     assert best_rows is not None
-    found = tuple(sigma for sigma, support, _ in autos if support & ~seeded)
-    return CanonicalForm(_raw(n, best_rows), tuple(best_perm), (*(seeds or ()), *found))
+    found = tuple(sigma for sigma, support in autos if support & ~seeded)
+    return CanonicalForm(
+        _raw(n, best_rows), tuple(best_perm), (*(sigma for sigma, _ in seeds or ()), *found)
+    )
 
 
-def _component_generators(g: Graph) -> list[tuple[int, ...]]:
-    """Generators of the group that permutes the isomorphic connected
-    components of g with at least 2 vertices: for each class of two or more
-    copies, each copy's own generators and one swap per consecutive pair of
-    copies, which maps the vertices of equal canonical position onto each
-    other."""
+def _component_generators(g: Graph) -> list[tuple[tuple[int, ...], int]]:
+    """Generators, with their support masks, of the group that permutes the
+    isomorphic connected components of g with at least 2 vertices: for each
+    class of two or more copies, each copy's own generators and one swap per
+    consecutive pair of copies, which maps the vertices of equal canonical
+    position onto each other.  Each copy is labelled breadth-first from its
+    least vertex, so that copies often induce equal rows and share one
+    canonical_form."""
     n, adj = g.n, g.adj
     by_size: dict[int, list[int]] = {}
     for comp in _components(adj, (1 << n) - 1):
         if comp & (comp - 1):
             by_size.setdefault(comp.bit_count(), []).append(comp)
-    forms: dict[Graph, CanonicalForm] = {}  # copies often induce equal rows
-    classes: dict[tuple, list[tuple[list[int], CanonicalForm]]] = {}
+    forms: dict[Graph, CanonicalForm] = {}
+    classes: dict[tuple, list[tuple[int, list[int], CanonicalForm]]] = {}
     for comps in by_size.values():
         if len(comps) > 1:
             for comp in comps:
-                verts = list(_bits(comp))
-                sub = induced(g, verts)
+                # breadth-first from the least vertex, neighbours ascending
+                verts = [(comp & -comp).bit_length() - 1]
+                seen = comp & -comp
+                for v in verts:
+                    new = adj[v] & ~seen
+                    seen |= new
+                    verts += _bits(new)
+                pos = {v: i for i, v in enumerate(verts)}
+                sub = _raw(len(verts), (sum(1 << pos[u] for u in _bits(adj[v])) for v in verts))
                 if sub not in forms:
                     forms[sub] = canonical_form(sub)
-                classes.setdefault(forms[sub].key(), []).append((verts, forms[sub]))
+                classes.setdefault(forms[sub].key(), []).append((comp, verts, forms[sub]))
     gens = []
     for copies in classes.values():
         if len(copies) < 2:
             continue
-        for verts, cf in copies:
+        for _, verts, cf in copies:
             for sigma in cf.automorphisms:
                 perm = list(range(n))
                 for i, v in enumerate(verts):
                     perm[v] = verts[sigma[i]]
-                gens.append(tuple(perm))
-        for (verts, cf), (other, other_cf) in zip(copies, copies[1:]):
+                gens.append((tuple(perm), sum(1 << v for i, v in enumerate(verts) if sigma[i] != i)))
+        for (comp, verts, cf), (other_comp, other, other_cf) in zip(copies, copies[1:]):
             at = [0] * len(other)  # canonical position -> vertex of `other`
             for i, p in enumerate(other_cf.permutation):
                 at[p] = other[i]
@@ -627,7 +690,7 @@ def _component_generators(g: Graph) -> list[tuple[int, ...]]:
             for i, p in enumerate(cf.permutation):
                 u, v = verts[i], at[p]
                 perm[u], perm[v] = v, u
-            gens.append(tuple(perm))
+            gens.append((tuple(perm), comp | other_comp))
     return gens
 
 

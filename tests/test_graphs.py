@@ -450,15 +450,19 @@ def test_refine_matches_oracle_on_groups_of_three_or_more_fragments(where):
 
 
 def test_orbits_follow_only_automorphisms_that_fix_the_prefix():
-    # vertex 0 individualised: (0 1)(2 3) moves it and is ignored; the
-    # orbits of (1 2)(3 4), fed in a second update, are {1, 2} and {3, 4}
-    orbits = _Orbits(5, 1 << 0)
-    autos = [((1, 0, 3, 2, 4), 0b01111, [0, 1, 2, 3])]
-    orbits.update(autos)
-    assert [orbits.find(v) for v in range(5)] == [0, 1, 2, 3, 4]
-    autos.append(((0, 2, 1, 4, 3), 0b11110, [1, 2, 3, 4]))
-    orbits.update(autos)
-    assert [orbits.find(v) for v in range(5)] == [0, 1, 1, 3, 3]
+    # vertex 0 individualised, target cell {1, 2, 3, 4}: (0 1)(2 3) moves it
+    # and is ignored, (5 6) misses the cell, and the orbits of (1 2)(3 4),
+    # fed in a later update, are {1, 2} and {3, 4}
+    cell = 0b0011110
+    orbits = _Orbits(7, 1 << 0, cell)
+    autos = [((1, 0, 3, 2, 4, 5, 6), 0b0001111), ((0, 1, 2, 3, 4, 6, 5), 0b1100000)]
+    assert not orbits.update(autos)
+    assert [orbits.find(v) for v in range(7)] == list(range(7))
+    autos.append(((0, 2, 1, 4, 3, 5, 6), 0b0011110))
+    assert orbits.update(autos)
+    assert [orbits.find(v) for v in range(7)] == [0, 1, 1, 3, 3, 5, 6]
+    assert orbits.roots(cell) == 0b0001010
+    assert not orbits.update(autos)  # nothing new
 
 
 @pytest.mark.parametrize("n", range(12, 65))
