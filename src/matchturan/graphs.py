@@ -349,6 +349,22 @@ def _support(sigma: tuple[int, ...]) -> int:
     return sum(1 << v for v, x in enumerate(sigma) if x != v)
 
 
+def _cycles(sigma: tuple[int, ...], support: int) -> tuple[int, int]:
+    """Of the vertices of `support` (the ones sigma moves): those that are
+    not the least of their cycle, and those whose image is one of them (the
+    edges v -> sigma(v) from these span every cycle)."""
+    tails = links = 0
+    while support:
+        b = support & -support
+        v = u = b.bit_length() - 1
+        while sigma[u] != v:
+            links |= 1 << u
+            u = sigma[u]
+            tails |= 1 << u
+        support &= ~(tails | b)
+    return tails, links
+
+
 def _colors(n: int, cells: list[int]) -> list[int]:
     colors = [0] * n
     for i, cell in enumerate(cells):
@@ -412,33 +428,39 @@ def _permuted_rows(n: int, adj: tuple[int, ...], perm: list[int]) -> tuple[int, 
 
 class _Orbits:
     """Orbits on a search node's target cell of the automorphisms found so
-    far that fix the node's individualised prefix (a mask), as a union-find
-    fed only the ones added since it last looked.  One fixes the prefix iff
-    its support mask misses it; it preserves the node's colouring, so it
-    maps the cell onto itself, and only the moved vertices of the cell need
-    unions.  Each orbit is rooted at its least vertex."""
+    far that fix the node's individualised prefix (a mask).  One fixes the
+    prefix iff its support mask misses it; it preserves the node's
+    colouring, so it maps the cell onto itself.  Each orbit is rooted at its
+    least vertex.  A vertex that is not the least of its cycle in one such
+    automorphism is no root, which one mask operation per automorphism
+    settles; only the vertices that survive that need the union-find, fed
+    the automorphisms added since it last looked, one union per spanning
+    edge of a cycle in the cell (see _cycles)."""
 
-    __slots__ = ("parent", "prefix", "cell", "seen")
+    __slots__ = ("parent", "prefix", "cell", "seen", "checked", "joined")
 
     def __init__(self, n: int, prefix: int, cell: int):
         self.parent = list(range(n))
         self.prefix = prefix
         self.cell = cell
-        self.seen = 0
+        self.seen = 0  # automorphisms in the union-find
+        self.checked = 0  # automorphisms whose cycle tails were cleared
+        self.joined = 0  # the vertices that no longer root their orbit
 
-    def find(self, v: int) -> int:
-        parent = self.parent
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        return v
-
-    def update(self, autos: list[tuple[tuple[int, ...], int]]) -> bool:
-        """Takes in the automorphisms added since the last update; True if
-        they joined two orbits."""
-        joined = False
-        parent, cell, prefix = self.parent, self.cell, self.prefix
-        for sigma, support in autos[self.seen :]:
-            m = support & cell
+    def roots(self, autos: list[tuple[tuple[int, ...], int, int, int]], mask: int) -> int:
+        """The vertices of `mask`, a part of the cell left from the last
+        call, that root their orbit once the automorphisms added since then
+        are in."""
+        prefix = self.prefix
+        for _, support, tails, _ in autos[self.checked :]:
+            if not support & prefix:
+                mask &= ~tails
+        self.checked = len(autos)
+        if not mask:
+            return 0
+        parent, cell, joined = self.parent, self.cell, self.joined
+        for sigma, support, _, links in autos[self.seen :]:
+            m = links & cell
             if m and not support & prefix:
                 while m:
                     b = m & -m
@@ -449,25 +471,15 @@ class _Orbits:
                         parent[a] = a = parent[parent[a]]
                     while parent[c] != c:
                         parent[c] = c = parent[parent[c]]
-                    if a != c:
-                        if a < c:
-                            parent[c] = a
-                        else:
-                            parent[a] = c
-                        joined = True
+                    if a < c:
+                        parent[c] = a
+                        joined |= 1 << c
+                    elif c < a:
+                        parent[a] = c
+                        joined |= 1 << a
         self.seen = len(autos)
-        return joined
-
-    def roots(self, mask: int) -> int:
-        """The vertices of `mask` that root their orbit."""
-        parent = self.parent
-        out = 0
-        while mask:
-            b = mask & -mask
-            mask ^= b
-            if parent[b.bit_length() - 1] == b.bit_length() - 1:
-                out |= b
-        return out
+        self.joined = joined
+        return mask & ~joined
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -532,7 +544,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
     best_rows: tuple[int, ...] | None = None
     best_perm: list[int] = []
     first: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-    autos: list[tuple[tuple[int, ...], int]] = []  # (sigma, support mask)
+    autos: list[tuple[tuple[int, ...], int, int, int]] = []  # sigma, support, *_cycles
     path: list[int] = []  # the individualised vertices, one per level
     seeds: list[tuple[tuple[int, ...], int]] | None = None  # set at the first second child met
     seeded = 0  # the vertices the seeds move
@@ -554,7 +566,8 @@ def canonical_form(g: Graph) -> CanonicalForm:
         for v, c in enumerate(earlier_colors):
             inv[c] = v
         sigma = tuple(inv[c] for c in colors)  # this leaf onto the earlier one
-        autos.append((sigma, _support(sigma)))
+        support = _support(sigma)
+        autos.append((sigma, support, *_cycles(sigma, support)))
         level = 0
         while path[level] == earlier_path[level]:
             level += 1
@@ -564,13 +577,13 @@ def canonical_form(g: Graph) -> CanonicalForm:
         # records the twin automorphism (z w)
         swap = list(range(n))
         swap[z], swap[w] = w, z
-        autos.append((tuple(swap), 1 << z | 1 << w))
+        autos.append((tuple(swap), 1 << z | 1 << w, 1 << w, 1 << z))
 
     def seed() -> None:
         nonlocal seeds, seeded
         seeds = _component_generators(g)
-        autos.extend(seeds)
-        for _, support in seeds:
+        for sigma, support in seeds:
+            autos.append((sigma, support, *_cycles(sigma, support)))
             seeded |= support
 
     def descend(cells: list[int], prefix: int, i: int) -> int:
@@ -597,14 +610,12 @@ def canonical_form(g: Graph) -> CanonicalForm:
             del path[depth:]
             if level < depth:
                 return level
-            orbits = _Orbits(n, prefix, cell)
-            if orbits.update(autos):
-                # recorded automorphisms that fix the prefix already join
-                # part of T: one transposition per other orbit suffices
-                roots = orbits.roots(cell)
-                order = [w for w in order if roots >> w & 1]
+            # recorded automorphisms that fix the prefix may already join
+            # part of T: one transposition per other orbit suffices
+            roots = _Orbits(n, prefix, cell).roots(autos, cell) if autos else cell
             for w in order[1:]:
-                transpose(z, w)
+                if roots >> w & 1:
+                    transpose(z, w)
             return depth
         orbits = _Orbits(n, prefix, cell)
         m = cell
@@ -615,12 +626,13 @@ def canonical_form(g: Graph) -> CanonicalForm:
             if w != z:
                 if seeds is None:
                     seed()
-                if orbits.update(autos):
+                if orbits.checked < len(autos):
                     # every vertex of the cell below w was tried or joined to
                     # a tried one, so only the orbit roots are left to try
-                    m = orbits.roots(m)
-                    if orbits.find(w) != w:
+                    m = orbits.roots(autos, m | b)
+                    if not m & b:
                         continue
+                    m ^= b
                 if adj[z] & ~(1 << w) == adj[w] & ~(1 << z):
                     transpose(z, w)
                     continue
@@ -636,7 +648,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
     descend(_root_cells(g), 0, 0)
     assert best_rows is not None
-    found = tuple(sigma for sigma, support in autos if support & ~seeded)
+    found = tuple(sigma for sigma, support, _, _ in autos if support & ~seeded)
     return CanonicalForm(
         _raw(n, best_rows), tuple(best_perm), (*(sigma for sigma, _ in seeds or ()), *found)
     )
@@ -683,12 +695,15 @@ def _component_generators(g: Graph) -> list[tuple[tuple[int, ...], int]]:
                     perm[v] = verts[sigma[i]]
                 gens.append((tuple(perm), sum(1 << v for i, v in enumerate(verts) if sigma[i] != i)))
         for (comp, verts, cf), (other_comp, other, other_cf) in zip(copies, copies[1:]):
-            at = [0] * len(other)  # canonical position -> vertex of `other`
-            for i, p in enumerate(other_cf.permutation):
-                at[p] = other[i]
+            if other_cf is not cf:
+                # the two labellings induce different rows: pair the
+                # vertices of equal canonical position instead
+                at = [0] * len(other)
+                for i, p in enumerate(other_cf.permutation):
+                    at[p] = other[i]
+                other = [at[p] for p in cf.permutation]
             perm = list(range(n))
-            for i, p in enumerate(cf.permutation):
-                u, v = verts[i], at[p]
+            for u, v in zip(verts, other):
                 perm[u], perm[v] = v, u
             gens.append((tuple(perm), comp | other_comp))
     return gens

@@ -16,6 +16,7 @@ from matchturan.graphs import (
     _bits,
     _colors,
     _count_planes,
+    _cycles,
     _permuted_rows,
     _raw,
     _refine,
@@ -449,20 +450,31 @@ def test_refine_matches_oracle_on_groups_of_three_or_more_fragments(where):
         assert _colors(n, _refine(adj, frags, list(range(len(frags))))) == colors, g
 
 
+def _auto(sigma):
+    support = sum(1 << v for v, x in enumerate(sigma) if x != v)
+    return (sigma, support, *_cycles(sigma, support))
+
+
+def test_cycles_give_tails_and_spanning_links():
+    # (0 1 2)(3 4): 1, 2 and 4 are not the least of their cycle, and the
+    # edges 0 -> 1, 1 -> 2 and 3 -> 4 span both cycles
+    assert _auto((1, 2, 0, 4, 3))[2:] == (0b10110, 0b01011)
+    assert _auto((0, 1, 2))[2:] == (0, 0)
+
+
 def test_orbits_follow_only_automorphisms_that_fix_the_prefix():
     # vertex 0 individualised, target cell {1, 2, 3, 4}: (0 1)(2 3) moves it
-    # and is ignored, (5 6) misses the cell, and the orbits of (1 2)(3 4),
-    # fed in a later update, are {1, 2} and {3, 4}
-    cell = 0b0011110
-    orbits = _Orbits(7, 1 << 0, cell)
-    autos = [((1, 0, 3, 2, 4, 5, 6), 0b0001111), ((0, 1, 2, 3, 4, 6, 5), 0b1100000)]
-    assert not orbits.update(autos)
-    assert [orbits.find(v) for v in range(7)] == list(range(7))
-    autos.append(((0, 2, 1, 4, 3, 5, 6), 0b0011110))
-    assert orbits.update(autos)
-    assert [orbits.find(v) for v in range(7)] == [0, 1, 1, 3, 3, 5, 6]
-    assert orbits.roots(cell) == 0b0001010
-    assert not orbits.update(autos)  # nothing new
+    # and is ignored; (1 3), then (2 3), join 1, 2 and 3, though 2 is the
+    # least of its cycle in both, so only the union-find drops it
+    cell = 0b11110
+    orbits = _Orbits(5, 1 << 0, cell)
+    autos = [_auto((1, 0, 3, 2, 4))]
+    assert orbits.roots(autos, cell) == cell
+    autos.append(_auto((0, 3, 2, 1, 4)))
+    assert orbits.roots(autos, cell) == 0b10110
+    autos.append(_auto((0, 1, 3, 2, 4)))
+    assert orbits.roots(autos, 0b10110) == 0b10010
+    assert orbits.roots(autos, 0b10010) == 0b10010  # nothing new
 
 
 @pytest.mark.parametrize("n", range(12, 65))
