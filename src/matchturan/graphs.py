@@ -403,18 +403,12 @@ def _twin_order(adj: tuple[int, ...], cell: int) -> list[int] | None:
 
 
 def _permuted_rows(n: int, adj: tuple[int, ...], perm: list[int]) -> tuple[int, ...]:
-    rows = [0] * n
     if n >= 16 and sum(map(int.bit_count, adj)) > 8 * n:
-        # dense: one row is a string of n bits, highest first, whose
-        # characters move as one itemgetter call
         inv = [0] * n
         for v, p in enumerate(perm):
             inv[p] = v
-        pick = itemgetter(*[n - 1 - inv[i] for i in range(n - 1, -1, -1)])
-        form = f"0{n}b"
-        for v in range(n):
-            rows[perm[v]] = int("".join(pick(format(adj[v], form))), 2)
-        return tuple(rows)
+        return _picked_rows(n, adj, inv)
+    rows = [0] * n
     for v in range(n):
         acc = 0
         m = adj[v]
@@ -424,6 +418,15 @@ def _permuted_rows(n: int, adj: tuple[int, ...], perm: list[int]) -> tuple[int, 
             m ^= b
         rows[perm[v]] = acc
     return tuple(rows)
+
+
+def _picked_rows(n: int, adj: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
+    """The rows of the subgraph induced on `order`, order[i] relabelled i.
+    Each row is a string of n bits, highest first, whose characters move in
+    one itemgetter call, so a row costs the same whatever its density."""
+    pick = itemgetter(*[n - 1 - v for v in reversed(order)])
+    form = f"0{n}b"
+    return tuple(int("".join(pick(format(adj[v], form))), 2) for v in order)
 
 
 class _Orbits:
@@ -437,47 +440,47 @@ class _Orbits:
     the automorphisms added since it last looked, one union per spanning
     edge of a cycle in the cell (see _cycles)."""
 
-    __slots__ = ("parent", "prefix", "cell", "seen", "checked", "joined")
+    __slots__ = ("parent", "prefix", "cell", "seen", "pending", "joined")
 
     def __init__(self, n: int, prefix: int, cell: int):
         self.parent = list(range(n))
         self.prefix = prefix
         self.cell = cell
-        self.seen = 0  # automorphisms in the union-find
-        self.checked = 0  # automorphisms whose cycle tails were cleared
+        self.seen = 0  # automorphisms looked at
+        self.pending: list[tuple[tuple[int, ...], int, int, int]] = []  # not in the union-find yet
         self.joined = 0  # the vertices that no longer root their orbit
 
     def roots(self, autos: list[tuple[tuple[int, ...], int, int, int]], mask: int) -> int:
         """The vertices of `mask`, a part of the cell left from the last
         call, that root their orbit once the automorphisms added since then
         are in."""
-        prefix = self.prefix
-        for _, support, tails, _ in autos[self.checked :]:
-            if not support & prefix:
-                mask &= ~tails
-        self.checked = len(autos)
-        if not mask:
-            return 0
-        parent, cell, joined = self.parent, self.cell, self.joined
-        for sigma, support, _, links in autos[self.seen :]:
-            m = links & cell
-            if m and not support & prefix:
-                while m:
-                    b = m & -m
-                    m ^= b
-                    a = b.bit_length() - 1
-                    c = sigma[a]
-                    while parent[a] != a:
-                        parent[a] = a = parent[parent[a]]
-                    while parent[c] != c:
-                        parent[c] = c = parent[parent[c]]
-                    if a < c:
-                        parent[c] = a
-                        joined |= 1 << c
-                    elif c < a:
-                        parent[a] = c
-                        joined |= 1 << a
+        prefix, cell, pending = self.prefix, self.cell, self.pending
+        for auto in autos[self.seen :]:
+            if auto[3] & cell and not auto[1] & prefix:
+                mask &= ~auto[2]
+                pending.append(auto)
         self.seen = len(autos)
+        if not mask & ~self.joined or not pending:
+            return mask & ~self.joined
+        parent, joined = self.parent, self.joined
+        for sigma, _, _, links in pending:
+            m = links & cell
+            while m:
+                b = m & -m
+                m ^= b
+                a = b.bit_length() - 1
+                c = sigma[a]
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[c] != c:
+                    parent[c] = c = parent[parent[c]]
+                if a < c:
+                    parent[c] = a
+                    joined |= 1 << c
+                elif c < a:
+                    parent[a] = c
+                    joined |= 1 << a
+        pending.clear()
         self.joined = joined
         return mask & ~joined
 
@@ -626,7 +629,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
             if w != z:
                 if seeds is None:
                     seed()
-                if orbits.checked < len(autos):
+                if orbits.seen < len(autos):
                     # every vertex of the cell below w was tried or joined to
                     # a tried one, so only the orbit roots are left to try
                     m = orbits.roots(autos, m | b)
@@ -656,15 +659,21 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
 def _component_generators(g: Graph) -> list[tuple[tuple[int, ...], int]]:
     """Generators, with their support masks, of the group that permutes the
-    isomorphic connected components of g with at least 2 vertices: for each
-    class of two or more copies, each copy's own generators and one swap per
-    consecutive pair of copies, which maps the vertices of equal canonical
-    position onto each other.  Each copy is labelled breadth-first from its
-    least vertex, so that copies often induce equal rows and share one
-    canonical_form."""
+    isomorphic connected components of g with at least 2 vertices, or those
+    of its complement when g is connected (g and its complement have the
+    same automorphisms): for each class of two or more copies, each copy's
+    own generators and one swap per consecutive pair of copies, which maps
+    the vertices of equal canonical position onto each other.  Each copy is
+    labelled breadth-first from its least vertex, so that copies often
+    induce equal rows and share one canonical_form."""
     n, adj = g.n, g.adj
+    full = (1 << n) - 1
+    comps = _components(adj, full)
+    if len(comps) == 1:
+        adj = tuple(full ^ row ^ 1 << v for v, row in enumerate(adj))
+        comps = _components(adj, full)
     by_size: dict[int, list[int]] = {}
-    for comp in _components(adj, (1 << n) - 1):
+    for comp in comps:
         if comp & (comp - 1):
             by_size.setdefault(comp.bit_count(), []).append(comp)
     forms: dict[Graph, CanonicalForm] = {}
@@ -679,21 +688,27 @@ def _component_generators(g: Graph) -> list[tuple[tuple[int, ...], int]]:
                     new = adj[v] & ~seen
                     seen |= new
                     verts += _bits(new)
-                pos = {v: i for i, v in enumerate(verts)}
-                sub = _raw(len(verts), (sum(1 << pos[u] for u in _bits(adj[v])) for v in verts))
+                sub = _raw(len(verts), _picked_rows(n, adj, verts))
                 if sub not in forms:
                     forms[sub] = canonical_form(sub)
                 classes.setdefault(forms[sub].key(), []).append((comp, verts, forms[sub]))
     gens = []
+    moves: dict[int, list[list[tuple[int, int]]]] = {}  # per form: what each generator moves
     for copies in classes.values():
         if len(copies) < 2:
             continue
         for _, verts, cf in copies:
-            for sigma in cf.automorphisms:
+            if id(cf) not in moves:
+                moves[id(cf)] = [
+                    [(i, x) for i, x in enumerate(sigma) if x != i] for sigma in cf.automorphisms
+                ]
+            for pairs in moves[id(cf)]:
                 perm = list(range(n))
-                for i, v in enumerate(verts):
-                    perm[v] = verts[sigma[i]]
-                gens.append((tuple(perm), sum(1 << v for i, v in enumerate(verts) if sigma[i] != i)))
+                support = 0
+                for i, x in pairs:
+                    perm[verts[i]] = verts[x]
+                    support |= 1 << verts[i]
+                gens.append((tuple(perm), support))
         for (comp, verts, cf), (other_comp, other, other_cf) in zip(copies, copies[1:]):
             if other_cf is not cf:
                 # the two labellings induce different rows: pair the
