@@ -1,5 +1,6 @@
 import random
 import time
+from hashlib import sha256
 from itertools import combinations, permutations
 
 import pytest
@@ -18,6 +19,7 @@ from matchturan.graphs import (
     _count_planes,
     _cycles,
     _permuted_rows,
+    _picked_rows,
     _raw,
     _refine,
     _twin_order,
@@ -375,6 +377,94 @@ def test_symmetric_shapes_canonicalize_quickly_with_few_generators(g):
 
 def _random_graph(rng, n, p):
     return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+# sha256 (first 16 hex digits) of the canonical rows and permutation of each
+# _SYMMETRIC shape under the relabellings drawn from random.Random(64), as
+# canonical_form gave them before its dense leaf rows, cell-local orbits and
+# breadth-first component labelling; the oracle is too slow at this size
+_PINNED = [
+    "a506b320f9907719", "4340b1901c87c5c9", "c068d633ecd5cc0b", "43cdcc82e1407f28",
+    "d39bc596bc8058f6", "ad5b663fd4ea9d40", "20a71a061f59c2e9", "9c1f52a6fd291c0c",
+    "2ec249ca60e8f7d4", "278f404fdde30f27", "d0b3a782194d7c9b", "1598de2b219a5da7",
+    "504bef4c849562a0", "d155fd0cc649c2a2", "d8390f2212158864", "fc05b57df7ddafe5",
+    "a35127ea81cadf8f", "abff19c775cc3bf4",
+]
+
+
+def test_canonical_forms_of_the_symmetric_shapes_are_pinned():
+    rng = random.Random(64)
+    for g, digest in zip(_SYMMETRIC, _PINNED, strict=True):
+        h = relabel(g, rng.sample(range(g.n), g.n))
+        cf = canonical_form(h)
+        assert sha256(repr((cf.graph.adj, cf.permutation)).encode()).hexdigest()[:16] == digest
+        assert len(cf.automorphisms) <= g.n - 1
+        for sigma in cf.automorphisms:
+            assert relabel(h, sigma) == h
+
+
+def _bit_loop_rows(n, adj, perm):
+    rows = [0] * n
+    for v in range(n):
+        for u in _bits(adj[v]):
+            rows[perm[v]] |= 1 << perm[u]
+    return tuple(rows)
+
+
+def test_dense_leaf_rows_match_the_bit_loop(monkeypatch):
+    rng = random.Random(17)
+    shapes = [
+        _random_graph(rng, n, p)
+        for n in (16, 17, 63, 64)
+        for p in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95)
+    ]
+    # at the threshold: 8 bits per row on average keeps the bit loop, one
+    # more edge takes the string path
+    regular = Graph(16, [(v, (v + d) % 16) for v in range(16) for d in range(1, 5)])
+    shapes += [complete(64), empty(64), regular, add_edge(regular, 0, 8)]
+    picked = []
+
+    def spy(n, adj, order):
+        picked.append(adj)
+        return _picked_rows(n, adj, order)
+
+    monkeypatch.setattr(graphs, "_picked_rows", spy)
+    for g in shapes:
+        perm = rng.sample(range(g.n), g.n)
+        assert _permuted_rows(g.n, g.adj, perm) == _bit_loop_rows(g.n, g.adj, perm)
+    assert regular.adj not in picked
+    assert add_edge(regular, 0, 8).adj in picked and complete(64).adj in picked
+
+
+def _nested_forms(monkeypatch, g):
+    # the canonical_form calls that component seeding makes inside g's
+    calls = []
+
+    def spy(sub, _real=graphs.canonical_form):
+        calls.append(sub)
+        return _real(sub)
+
+    monkeypatch.setattr(graphs, "canonical_form", spy)
+    cf = canonical_form(g)
+    monkeypatch.undo()
+    return cf, calls
+
+
+@pytest.mark.parametrize(
+    "g",
+    [_disjoint_cycles(12, 5), matching(20), turan_graph(64, 4), complete_bipartite(32, 32)],
+    ids=["12C5", "M20", "T64,4", "K32,32"],
+)
+def test_component_classes_are_labelled_once(g, monkeypatch):
+    # copies labelled breadth-first from their least vertex induce equal
+    # rows, so each class of copies (of the complement's components for the
+    # two connected shapes) costs one canonical_form
+    g = relabel(g, random.Random(21).sample(range(g.n), g.n))
+    cf, calls = _nested_forms(monkeypatch, g)
+    assert len(calls) == 1
+    assert len(cf.automorphisms) <= g.n - 1
+    for sigma in cf.automorphisms:
+        assert relabel(g, sigma) == g
 
 
 def _cells(n, colors):

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -333,6 +334,32 @@ def test_invalid_ceiling_argument_is_rejected(capsys):
             resolve_ceiling(GraphFamily(), bad)
     assert main(["ex", "--n", "4", "--forbid", "K3", "--ceiling", "0"]) == 2
     assert "--ceiling" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [3.9, 4.0, True, False])
+def test_ceiling_argument_is_an_int_not_a_float_or_bool(bad):
+    # int(3.9) == 3 and True == 1: the argument is refused, as the flag and
+    # the env var refuse the text "3.9" or "True"
+    message = f"ceiling argument must be an integer between 1 and 10, got {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        resolve_ceiling(GraphFamily(), bad)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        enumerate_free(4, GraphFamily(), ceiling=bad)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0])
+def test_workers_argument_is_an_int_not_a_float_or_bool(bad):
+    message = f"workers argument must be an integer >= 1, got {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        enumerate_free(3, GraphFamily(), workers=bad)
+
+
+def test_ceiling_text_and_int_agree(monkeypatch):
+    for value in ("3.9", "True"):
+        monkeypatch.setenv("MATCHTURAN_CEILING", value)
+        with pytest.raises(ValueError, match="MATCHTURAN_CEILING must be an integer"):
+            resolve_ceiling(GraphFamily())
+    assert resolve_ceiling(GraphFamily(), 7) == 7
 
 
 def test_negative_vertex_count_is_rejected(capsys):
