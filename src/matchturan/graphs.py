@@ -297,12 +297,10 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
     groups = [[cells[i] for i in splitters]]
     while groups:
         masks: list[int] = []  # highest colour first
-        reach = 0  # the neighbours of the counted fragments: no other cell splits
         for frags in reversed(groups):
             k = len(frags)
             if k == 1:
                 masks += reversed(_count_planes(adj, frags[0]))
-                reach = -1
                 continue
             if k == 2:
                 big = frags[1].bit_count() >= frags[0].bit_count()
@@ -312,13 +310,14 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
                 flip = -(j == big)  # -1: complement
                 f = sum(frags[:j]) if flip else frags[j]
                 if f & (f - 1):
-                    planes = _count_planes(adj, f)
-                    masks += [p ^ flip for p in reversed(planes)]
-                    for p in planes:
-                        reach |= p
+                    masks += [p ^ flip for p in reversed(_count_planes(adj, f))]
                 else:
                     masks.append(adj[f.bit_length() - 1] ^ flip)
-                    reach |= adj[f.bit_length() - 1]
+        reach = -1  # a cell that misses the neighbours of the counted fragments keeps its counts
+        if len(cells) > 8:
+            reach = 0
+            for m in masks:
+                reach |= m if m >= 0 else ~m
         new: list[int] = []
         groups = []
         for cell in cells:

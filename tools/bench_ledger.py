@@ -15,13 +15,15 @@ tree runs its own copy of perfbench/, which checks its CLI payloads
 against its golden files.
 
 It also times `graphs.canonical_form` and `invariants.matching_number`
-call by call on the domain-64 corpus at seed 1, each call under the
-workload's deadline, in a fresh interpreter per tree and pass.  It makes
-MICRO_PASSES passes per tree, alternating the trees, and keeps each graph's
-best time over the passes, so that machine drift between two single passes
-does not read as a change.  The first pass also records a sha256 of each
-graph's canonical forms (rows and permutation of both relabellings), and
-the ledger states whether the two trees agree.
+call by call on the domain-64 corpus at seed 1, each call on a fresh graph
+and under the workload's deadline.  One long-lived interpreter per tree
+takes its calls over a pipe, and the two trees alternate call by call
+(swapping which goes first every round), so that machine drift, which on
+a shared host lasts minutes, falls on both sides alike.  Per graph and op
+the ledger keeps each tree's median over CALLS calls and the number of
+rounds in which the change was faster.  Each interpreter also records a
+sha256 of each graph's canonical forms (rows and permutation of both
+relabellings), and the ledger states whether the two trees agree.
 
 The JSON it writes holds both commits, the machine, every run's metrics
 and `correct` flag, per workload and side the median and quartiles of each
@@ -44,14 +46,21 @@ import tarfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402  (plain edge lists: it imports nothing of matchturan)
+
 WORKLOADS = ["enum-matching", "verify-grid", "domain-64"]
 METRICS = ["setup_s", "wall_s", "cpu_s", "peak_rss_mb", "ok_share"]
 PAIRS = 10  # parent/change run pairs per workload
 SEED = 701  # seed of the first pair; pair i runs seed SEED + i
-MICRO_PASSES = 3  # per-call passes per tree, alternating between the trees
+CALLS = 30  # per-call rounds per graph and op, alternating the trees call by call
+OPS = ["canonical_form", "matching_number"]
 
-# runs inside each tree's interpreter: per-call times on the domain-64 corpus
-MICRO = r"""
+# runs inside each tree's interpreter: reads "<op> <graph index> <a|b>" lines
+# and answers each with one JSON line, the call's time in us (null: still
+# running at the deadline) or, for "digest", the sha256 of the graph's
+# canonical forms
+SERVER = r"""
 import hashlib, json, signal, sys, time
 sys.path.insert(0, "perfbench")
 import workloads
@@ -65,43 +74,27 @@ def alarm(signum, frame):
     raise Late
 
 signal.signal(signal.SIGALRM, alarm)
-
-def timed(fn, graphs):
-    # best of up to 5 calls (alternating between the graphs given) within
-    # 0.5 s; None when one call is still running at the deadline
-    best, spent, i = None, 0.0, 0
-    while i < 5 and spent < 0.5:
-        g = graphs[i % len(graphs)]
+corpus = workloads.domain_corpus(1)
+ops = {"canonical_form": canonical_form, "matching_number": matching_number}
+for line in sys.stdin:
+    op, i, side = line.split()
+    item = corpus[int(i)]
+    if op == "digest":
+        forms = [canonical_form(Graph(item["n"], item[k])) for k in "ab"]
+        text = repr([(cf.graph.adj, cf.permutation) for cf in forms])
+        out = hashlib.sha256(text.encode()).hexdigest()
+    else:
+        g = Graph(item["n"], item[side])
         signal.setitimer(signal.ITIMER_REAL, workloads.DEADLINE_S)
         t0 = time.perf_counter()
         try:
-            fn(g)
+            ops[op](g)
+            out = round((time.perf_counter() - t0) * 1e6, 1)
         except Late:
-            return None
+            out = None
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
-        dt = time.perf_counter() - t0
-        best = dt if best is None else min(best, dt)
-        spent += dt
-        i += 1
-    return round(best * 1e6, 1)
-
-def digest(graphs):
-    forms = [canonical_form(g) for g in graphs]
-    text = repr([(cf.graph.adj, cf.permutation) for cf in forms])
-    return hashlib.sha256(text.encode()).hexdigest()
-
-out = []
-for item in workloads.domain_corpus(1):
-    ga, gb = Graph(item["n"], item["a"]), Graph(item["n"], item["b"])
-    out.append({
-        "label": item["label"],
-        "n": item["n"],
-        "canonical_form_us": timed(canonical_form, [ga, gb]),
-        "matching_number_us": timed(matching_number, [ga]),
-        "canonical_sha256": digest([ga, gb]),
-    })
-print(json.dumps(out))
+    print(json.dumps(out), flush=True)
 """
 
 
@@ -144,25 +137,61 @@ def bench(tree: Path, workload: str, seed: int) -> dict:
     }
 
 
-def micro(tree: Path) -> list:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", MICRO], cwd=tree, env=env, check=True,
-        capture_output=True, text=True,
-    )
-    return json.loads(proc.stdout)
+class Server:
+    """One tree's interpreter running SERVER, driven over a pipe."""
+
+    def __init__(self, tree: Path):
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c", SERVER], cwd=tree,
+            env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+
+    def ask(self, op: str, graph: int, side: str = "a"):
+        self.proc.stdin.write(f"{op} {graph} {side}\n")
+        self.proc.stdin.flush()
+        return json.loads(self.proc.stdout.readline())
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
 
 
-def best_of(passes: list) -> list:
-    """Per graph, the first pass's entry with each time replaced by its best
-    over the passes (None only when every pass missed the deadline)."""
-    out = []
-    for entries in zip(*passes):
-        best = dict(entries[0])
-        for key in ("canonical_form_us", "matching_number_us"):
-            times = [e[key] for e in entries if e[key] is not None]
-            best[key] = min(times) if times else None
-        out.append(best)
+def per_call(trees: dict) -> dict:
+    """Per side, one entry per graph of the corpus: the median time of each
+    op over CALLS calls (null when a call missed the deadline, after which
+    that side makes no more calls of the op on the graph) and the digest;
+    and per graph, the rounds in which the change was faster."""
+    corpus = workloads.domain_corpus(1)
+    servers = {side: Server(tree) for side, tree in trees.items()}
+    out: dict = {side: [] for side in trees}
+    out["change_faster"] = []
+    try:
+        for i, item in enumerate(corpus):
+            times: dict = {side: {op: [] for op in OPS} for side in trees}
+            faster = {"label": item["label"]}
+            for op in OPS:
+                faster[op] = 0
+                for r in range(CALLS):
+                    order = ["parent", "change"] if r % 2 == 0 else ["change", "parent"]
+                    got = {}
+                    for side in order:
+                        done = times[side][op]
+                        if None not in done:
+                            got[side] = servers[side].ask(op, i, "ab"[r % 2])
+                            done.append(got[side])
+                    if None not in got.values() and len(got) == 2:
+                        faster[op] += got["change"] < got["parent"]
+            for side in trees:
+                entry = {"label": item["label"], "n": item["n"]}
+                for op, calls in times[side].items():
+                    entry[f"{op}_us"] = None if None in calls else statistics.median(calls)
+                entry["canonical_sha256"] = servers[side].ask("digest", i)
+                out[side].append(entry)
+            out["change_faster"].append(faster)
+    finally:
+        for server in servers.values():
+            server.close()
     return out
 
 
@@ -218,11 +247,7 @@ def main() -> int:
                     runs[workload][side].append(run)
                     print(f"pair {i} {workload} {side}: correct={run['correct']} "
                           f"wall_s={run['metrics'].get('wall_s')}", flush=True)
-        passes: dict = {side: [] for side in trees}
-        for i in range(MICRO_PASSES):
-            for side in (["parent", "change"] if i % 2 == 0 else ["change", "parent"]):
-                passes[side].append(micro(trees[side]))
-        per_call = {side: best_of(passes[side]) for side in trees}
+        calls = per_call(trees)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -239,7 +264,7 @@ def main() -> int:
         "machine": platform.machine(),
         "settings": {"pairs": PAIRS, "seeds": [SEED + i for i in range(PAIRS)],
                      "order": "parent first on even pairs, change first on odd pairs",
-                     "micro_passes": MICRO_PASSES},
+                     "per_call_rounds": CALLS},
         "workloads": {
             w: {
                 "summary": {side: spread(runs[w][side]) for side in ("parent", "change")},
@@ -252,11 +277,13 @@ def main() -> int:
         },
         "per_call_us": {
             "corpus": "domain-64, seed 1",
-            "note": f"best over {MICRO_PASSES} alternating passes per tree of the "
-                    "best of up to 5 calls within 0.5 s; null: still running at the "
-                    "0.5 s deadline in every pass; canonical_sha256: sha256 of the "
-                    "canonical rows and permutation of both relabellings",
-            **per_call,
+            "note": f"median of {CALLS} calls per tree, each on a fresh graph (the "
+                    "relabellings alternate), the trees alternating call by call; "
+                    "null: a call was still running at the 0.5 s deadline; "
+                    "change_faster: the rounds in which the change's call was the "
+                    "faster; canonical_sha256: sha256 of the canonical rows and "
+                    "permutation of both relabellings",
+            **calls,
         },
         "canonical_forms": {
             "corpus": "domain-64, seed 1",
