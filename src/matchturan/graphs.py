@@ -8,7 +8,6 @@ processes without copying or locks.
 
 from __future__ import annotations
 
-from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -313,7 +312,9 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
                     masks += [p ^ flip for p in reversed(_count_planes(adj, f))]
                 else:
                     masks.append(adj[f.bit_length() - 1] ^ flip)
-        reach = -1  # a cell that misses the neighbours of the counted fragments keeps its counts
+        # a cell that misses every neighbour of the counted fragments keeps
+        # its counts; telling which do pays only when there are many cells
+        reach = -1
         if len(cells) > 8:
             reach = 0
             for m in masks:
@@ -446,7 +447,7 @@ class _Orbits:
         self.prefix = prefix
         self.cell = cell
         self.seen = 0  # automorphisms looked at
-        self.pending: list[tuple[tuple[int, ...], int, int, int]] = []  # not in the union-find yet
+        self.pending: list[tuple[tuple[int, ...], int, int, int]] = []  # not unioned yet
         self.joined = 0  # the vertices that no longer root their orbit
 
     def roots(self, autos: list[tuple[tuple[int, ...], int, int, int]], mask: int) -> int:
@@ -524,7 +525,8 @@ def canonical_form(g: Graph) -> CanonicalForm:
       returns to the node where the two paths diverge;
     - component seeding: when the search first reaches a node's second
       child, it records generators of the group that permutes isomorphic
-      connected components of at least 2 vertices (each copy's own, from
+      connected components of at least 2 vertices, or those of the
+      complement when the graph is connected (each copy's own, from
       canonical_form on the component, and a swap of each consecutive pair
       of copies), so orbit pruning no longer finds each swap by a descent.
       Seeding only adds automorphisms: the rows and the permutation stay
@@ -661,10 +663,11 @@ def _component_generators(g: Graph) -> list[tuple[tuple[int, ...], int]]:
     isomorphic connected components of g with at least 2 vertices, or those
     of its complement when g is connected (g and its complement have the
     same automorphisms): for each class of two or more copies, each copy's
-    own generators and one swap per consecutive pair of copies, which maps
-    the vertices of equal canonical position onto each other.  Each copy is
-    labelled breadth-first from its least vertex, so that copies often
-    induce equal rows and share one canonical_form."""
+    own generators and one swap per consecutive pair of copies.  Each copy
+    is labelled breadth-first from its least vertex, neighbours ascending,
+    so that copies often induce equal rows and share one canonical_form;
+    the swap of two such copies pairs their vertices of equal label, and
+    that of two others their vertices of equal canonical position."""
     n, adj = g.n, g.adj
     full = (1 << n) - 1
     comps = _components(adj, full)
@@ -680,8 +683,7 @@ def _component_generators(g: Graph) -> list[tuple[tuple[int, ...], int]]:
     for comps in by_size.values():
         if len(comps) > 1:
             for comp in comps:
-                # breadth-first from the least vertex, neighbours ascending
-                verts = [(comp & -comp).bit_length() - 1]
+                verts = [(comp & -comp).bit_length() - 1]  # breadth-first
                 seen = comp & -comp
                 for v in verts:
                     new = adj[v] & ~seen
@@ -709,10 +711,8 @@ def _component_generators(g: Graph) -> list[tuple[tuple[int, ...], int]]:
                     support |= 1 << verts[i]
                 gens.append((tuple(perm), support))
         for (comp, verts, cf), (other_comp, other, other_cf) in zip(copies, copies[1:]):
-            if other_cf is not cf:
-                # the two labellings induce different rows: pair the
-                # vertices of equal canonical position instead
-                at = [0] * len(other)
+            if other_cf is not cf:  # the two labellings induce different rows
+                at = [0] * len(other)  # canonical position -> vertex of `other`
                 for i, p in enumerate(other_cf.permutation):
                     at[p] = other[i]
                 other = [at[p] for p in cf.permutation]
