@@ -344,11 +344,6 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
     return cells
 
 
-def _support(sigma: tuple[int, ...]) -> int:
-    """The mask of the vertices sigma moves."""
-    return sum(1 << v for v, x in enumerate(sigma) if x != v)
-
-
 def _cycles(sigma: tuple[int, ...], support: int) -> tuple[int, int]:
     """Of the vertices of `support` (the ones sigma moves): those that are
     not the least of their cycle, and those whose image is one of them (the
@@ -570,7 +565,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
         for v, c in enumerate(earlier_colors):
             inv[c] = v
         sigma = tuple(inv[c] for c in colors)  # this leaf onto the earlier one
-        support = _support(sigma)
+        support = sum(1 << v for v, x in enumerate(sigma) if x != v)
         autos.append((sigma, support, *_cycles(sigma, support)))
         level = 0
         while path[level] == earlier_path[level]:
