@@ -521,7 +521,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
     - component seeding: when the search first reaches a node's second
       child, it records generators of the group that permutes isomorphic
       connected components of at least 2 vertices, or those of the
-      complement when the graph is connected (each copy's own, from
+      complement of a connected graph on 16 or more (each copy's own, from
       canonical_form on the component, and a swap of each consecutive pair
       of copies), so orbit pruning no longer finds each swap by a descent.
       Seeding only adds automorphisms: the rows and the permutation stay
@@ -656,17 +656,19 @@ def canonical_form(g: Graph) -> CanonicalForm:
 def _component_generators(g: Graph) -> list[tuple[tuple[int, ...], int]]:
     """Generators, with their support masks, of the group that permutes the
     isomorphic connected components of g with at least 2 vertices, or those
-    of its complement when g is connected (g and its complement have the
-    same automorphisms): for each class of two or more copies, each copy's
-    own generators and one swap per consecutive pair of copies.  Each copy
-    is labelled breadth-first from its least vertex, neighbours ascending,
-    so that copies often induce equal rows and share one canonical_form;
-    the swap of two such copies pairs their vertices of equal label, and
-    that of two others their vertices of equal canonical position."""
+    of its complement when g is connected and has at least 16 vertices (g
+    and its complement have the same automorphisms; on fewer vertices the
+    search they would save costs less than finding them): for each class of
+    two or more copies, each copy's own generators and one swap per
+    consecutive pair of copies.  Each copy is labelled breadth-first from
+    its least vertex, neighbours ascending, so that copies often induce
+    equal rows and share one canonical_form; the swap of two such copies
+    pairs their vertices of equal label, and that of two others their
+    vertices of equal canonical position."""
     n, adj = g.n, g.adj
     full = (1 << n) - 1
     comps = _components(adj, full)
-    if len(comps) == 1:
+    if len(comps) == 1 and n >= 16:
         adj = tuple(full ^ row ^ 1 << v for v, row in enumerate(adj))
         comps = _components(adj, full)
     by_size: dict[int, list[int]] = {}
