@@ -426,14 +426,12 @@ def _picked_rows(n: int, adj: tuple[int, ...], order: list[int]) -> tuple[int, .
 
 class _Orbits:
     """Orbits on a search node's target cell of the automorphisms found so
-    far that fix the node's individualised prefix (a mask).  One fixes the
-    prefix iff its support mask misses it; it preserves the node's
-    colouring, so it maps the cell onto itself.  Each orbit is rooted at its
-    least vertex.  A vertex that is not the least of its cycle in one such
-    automorphism is no root, which one mask operation per automorphism
-    settles; only the vertices that survive that need the union-find, fed
-    the automorphisms added since it last looked, one union per spanning
-    edge of a cycle in the cell (see _cycles)."""
+    far that fix the node's individualised prefix (a mask): those whose
+    support misses it.  They preserve the node's colouring, so they map the
+    cell onto itself.  Each orbit is rooted at its least vertex.  A vertex
+    that is not the least of its cycle in one of them is no root, which a
+    mask settles; only if some vertex survives that does the union-find
+    take in the automorphisms, one union per spanning edge (see _cycles)."""
 
     __slots__ = ("parent", "prefix", "cell", "seen", "pending", "joined")
 
