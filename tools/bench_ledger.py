@@ -185,7 +185,7 @@ def per_call(trees: dict) -> dict:
             for side in trees:
                 entry = {"label": item["label"], "n": item["n"]}
                 for op, calls in times[side].items():
-                    entry[f"{op}_us"] = None if None in calls else statistics.median(calls)
+                    entry[f"{op}_us"] = None if None in calls else round(statistics.median(calls), 1)
                 entry["canonical_sha256"] = servers[side].ask("digest", i)
                 out[side].append(entry)
             out["change_faster"].append(faster)
@@ -253,7 +253,7 @@ def main() -> int:
 
     status = git("status", "--porcelain", "--", "src", "perfbench", "tests")
     differ = [
-        p["label"] for p, c in zip(per_call["parent"], per_call["change"])
+        p["label"] for p, c in zip(calls["parent"], calls["change"])
         if p["canonical_sha256"] != c["canonical_sha256"]
     ]
     ledger = {
