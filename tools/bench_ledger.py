@@ -185,7 +185,8 @@ def per_call(trees: dict) -> dict:
             for side in trees:
                 entry = {"label": item["label"], "n": item["n"]}
                 for op, calls in times[side].items():
-                    entry[f"{op}_us"] = None if None in calls else round(statistics.median(calls), 1)
+                    median = None if None in calls else statistics.median(calls)
+                    entry[f"{op}_us"] = median and round(median, 1)
                 entry["canonical_sha256"] = servers[side].ask("digest", i)
                 out[side].append(entry)
             out["change_faster"].append(faster)
