@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import re
 import sys
@@ -79,9 +78,8 @@ def _split_top_level(expr: str) -> list[str]:
         elif ch == ")":
             depth -= 1
         cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
+    parts.append("".join(cur))
+    return [p.strip() for p in parts]
 
 
 def parse_family(expr: str, label: str | None = None) -> GraphFamily:
@@ -89,6 +87,8 @@ def parse_family(expr: str, label: str | None = None) -> GraphFamily:
     family of a graph."""
     members: list[Graph] = []
     for tok in _split_top_level(expr):
+        if not tok:
+            raise ValueError(f"empty graph token in family {expr!r}")
         m = re.fullmatch(r"fp\((.+),(\d+)\)", tok)
         if m:
             members.extend(family_fp(parse_graph(m.group(1)), int(m.group(2))))
@@ -181,8 +181,7 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     # the subparser dests are named after ConstructionSpec fields
-    names = {f.name for f in dataclasses.fields(ConstructionSpec)}
-    fields = {k: v for k, v in vars(args).items() if k in names}
+    fields = {k: v for k, v in vars(args).items() if k in ConstructionSpec._fields}
     if fields.get("objective") == "kr":
         fields["objective"] = "kr_count"
     if args.construction == "gns":

@@ -9,7 +9,7 @@ verifier compares brute-force witness sets against all of them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from .containment import GraphFamily
 from .graphs import (
@@ -37,8 +37,7 @@ def assemble_gns(n: int, s: int, filling: Graph) -> Graph:
     return join_all(filling, Graph(n - s))
 
 
-@dataclass(frozen=True)
-class GnsBuild:
+class GnsBuild(NamedTuple):
     """Result of optimizing the split construction's filling."""
 
     n: int
@@ -142,8 +141,7 @@ _REQUIRED_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class ConstructionSpec:
+class ConstructionSpec(NamedTuple):
     """Serializable description of a candidate construction; `to_payload`
     is the `spec` section of the `construct` report."""
 
@@ -155,7 +153,7 @@ class ConstructionSpec:
     parts: int | None = None
     r: int | None = None
     objective: str = "edges"
-    family_graph6: tuple[str, ...] = field(default_factory=tuple)
+    family_graph6: tuple[str, ...] = ()
     family_label: str = ""
 
     def validate(self) -> None:
@@ -173,7 +171,7 @@ class ConstructionSpec:
         )
 
     def to_payload(self) -> dict:
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload = self._asdict()
         payload["family"] = list(payload.pop("family_graph6"))
         return payload
 

@@ -10,8 +10,8 @@ family falls back to the single clique on p+1 vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .containment import GraphFamily
 from .graphs import Graph, _bits, canonical_form, complete, induced, remove_edge, to_graph6
@@ -44,8 +44,7 @@ def family_fp(f: Graph, p: int) -> GraphFamily:
     return covering_report(f, p).family
 
 
-@dataclass(frozen=True)
-class CoveringReport:
+class CoveringReport(NamedTuple):
     """Covers of size <= p of one graph and the family they induce."""
 
     graph: Graph

@@ -9,7 +9,7 @@ searches, tuned for the desk-scale graphs the rest of the package produces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph, _bits, _components
 
@@ -235,8 +235,7 @@ def connected_components(g: Graph, within: int | None = None) -> list[int]:
     return _components(g.adj, g.vertex_mask() if within is None else within)
 
 
-@dataclass(frozen=True)
-class TutteBergeCertificate:
+class TutteBergeCertificate(NamedTuple):
     """Vertex set B minimizing |B| + sum(floor(|C|/2)) over the components C
     of G - B (sorted sizes in component_sizes); that minimum, value, equals
     the matching number."""

@@ -30,8 +30,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .containment import GraphFamily, Plan, _plan, _through_edge, minimalize
 from .covering import family_fp, p_of_f
@@ -337,8 +336,7 @@ def _enumerate(n: int, family: GraphFamily, workers: int) -> Iterator[Graph]:
         level.sort()
 
 
-@dataclass(frozen=True)
-class ExResult:
+class ExResult(NamedTuple):
     """Exact maximum r-clique count over family-free n-vertex graphs,
     with every extremal graph up to isomorphism (as graph6)."""
 
@@ -402,8 +400,7 @@ def ex_general(
     )
 
 
-@dataclass(frozen=True)
-class ExProfile:
+class ExProfile(NamedTuple):
     """Values of ex(p, K_{r-1}, cover-family(F, p)) over the admissible
     range p < min(s+1, p(F)), and the smallest maximizing p."""
 

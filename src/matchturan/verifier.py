@@ -19,9 +19,8 @@ small-n policy, for instance) and summarizes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .constructions import build_forest_extremal, build_g_n_s
 from .containment import GraphFamily
@@ -64,13 +63,12 @@ HYPOTHESIS_UNMET = "hypothesis-unmet"
 DEGENERATE = "degenerate-input"
 
 
-@dataclass
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Per-parameter-point comparison of brute force against a closed form."""
 
     theorem: str
-    points: list[dict] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
+    points: list[dict]
+    summary: dict
     elapsed: float = 0.0
     params: tuple[str, ...] = ()  # the point keys that are parameters
 
@@ -187,8 +185,7 @@ RANGE, INT, GRAPH = "range", "int", "graph"
 F_FLAG = ("--F", "forbidden", GRAPH)
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(NamedTuple):
     """One entry of the theorem table: the `verify` subcommand and its
     flags, how flag values expand into the `verify_*` call, the point keys
     that are parameters, and the theorem's own pieces.
@@ -234,9 +231,8 @@ def _run(
             theorem.score(ctx, point, *row)
         if theorem.finish:
             extra.update(theorem.finish(ctx, points))
-    report = TheoremReport(theorem.name, points, _summary(points, extra), params=theorem.params)
-    report.elapsed = time.perf_counter() - t0
-    return report
+    summary = _summary(points, extra)
+    return TheoremReport(theorem.name, points, summary, time.perf_counter() - t0, theorem.params)
 
 
 # ---------------------------------------------------------------------------

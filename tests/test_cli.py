@@ -223,6 +223,14 @@ def test_bad_graph_token_is_reported(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expr", [",", "K3,,C5", " , K3"])
+def test_empty_family_token_is_refused(expr, tmp_path, capsys):
+    # an empty token used to be dropped, so "," ran as the empty family
+    assert main(["ex", "--n", "5", "--forbid", expr, "--out", str(tmp_path)]) == 2
+    assert f"empty graph token in family {expr!r}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "argv",
     [

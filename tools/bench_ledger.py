@@ -4,15 +4,22 @@
 
 Run it from the root of a git checkout, with the change committed.  `--out`
 is required, so that no run overwrites an earlier change's ledger.  It
-exports the parent commit with `git archive` into a scratch directory (no
-worktree is registered in .git), byte-compiles both trees with
-`compileall` (so that neither pays for compiling in every fresh
-interpreter), then runs ten pairs of `perfbench/run.py` runs on every
-workload, one seed per pair, alternating between the two trees and
-swapping which goes first on every other pair.
+exports the parent commit and HEAD with `git archive` into scratch
+directories (no worktree is registered in .git) and runs every child with
+PYTHONDONTWRITEBYTECODE=1, so that, as in a fresh checkout, no bytecode
+cache exists and each fresh interpreter compiles what it imports.  It then
+runs ten pairs of `perfbench/run.py` runs on every workload, one seed per
+pair, alternating between the two trees and swapping which goes first on
+every other pair.
 run.py's own defaults set the run length and the (untraced) mode.  Each
 tree runs its own copy of perfbench/, which checks its CLI payloads
 against its golden files.
+
+It times `import matchturan`, `import matchturan.graphs` and `import
+matchturan.cli` in fresh interpreters, in process (interpreter start-up
+excluded), IMPORT_ROUNDS rounds per module, the trees alternating and
+swapping which goes first every round, and keeps each tree's median and
+the rounds in which the change was faster.
 
 It also times `graphs.canonical_form` and `invariants.matching_number`
 call by call on the domain-64 corpus at seed 1, each call on a fresh graph
@@ -27,8 +34,8 @@ relabellings), and the ledger states whether the two trees agree.
 
 The JSON it writes holds both commits, the machine, every run's metrics
 and `correct` flag, per workload and side the median and quartiles of each
-end-to-end metric, the number of pairs the change won, the per-call
-times and the canonical-form digests.
+end-to-end metric, the number of pairs the change won, the import
+times, the per-call times and the canonical-form digests.
 """
 
 from __future__ import annotations
@@ -55,6 +62,8 @@ PAIRS = 10  # parent/change run pairs per workload
 SEED = 701  # seed of the first pair; pair i runs seed SEED + i
 CALLS = 30  # per-call rounds per graph and op, alternating the trees call by call
 OPS = ["canonical_form", "matching_number"]
+IMPORTS = ["matchturan", "matchturan.graphs", "matchturan.cli"]
+IMPORT_ROUNDS = 15  # fresh interpreters per tree and module
 
 # runs inside each tree's interpreter: reads "<op> <graph index> <a|b>" lines
 # and answers each with one JSON line, the call's time in us (null: still
@@ -112,11 +121,35 @@ def export(rev: str, dest: Path) -> None:
         tar.extractall(dest)
 
 
-def compile_tree(tree: Path) -> None:
-    subprocess.run(
-        [sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
-        cwd=tree, check=True, stdout=subprocess.DEVNULL,
-    )
+def import_ms(tree: Path, module: str) -> float:
+    """In-process time of `import module` in a fresh interpreter, in ms."""
+    code = f"import time; t = time.perf_counter(); import {module}; print(time.perf_counter() - t)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=tree, check=True, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+    ).stdout
+    return float(out) * 1e3
+
+
+def import_times(trees: dict) -> dict:
+    """Per module: each tree's import times and their median, and the
+    rounds in which the change was faster."""
+    out = {}
+    for module in IMPORTS:
+        times: dict = {side: [] for side in trees}
+        won = 0
+        for r in range(IMPORT_ROUNDS):
+            order = ["parent", "change"] if r % 2 == 0 else ["change", "parent"]
+            got = {side: import_ms(trees[side], module) for side in order}
+            for side, ms in got.items():
+                times[side].append(round(ms, 2))
+            won += got["change"] < got["parent"]
+        out[module] = {
+            **{f"{side}_median_ms": statistics.median(times[side]) for side in trees},
+            "change_faster": won,
+            "rounds_ms": times,
+        }
+    return out
 
 
 def bench(tree: Path, workload: str, seed: int) -> dict:
@@ -230,15 +263,15 @@ def main() -> int:
     parser.add_argument("--out", required=True, help="ledger file to write")
     args = parser.parse_args()
 
+    os.environ["PYTHONDONTWRITEBYTECODE"] = "1"  # every child inherits it
     work = ROOT / ".bench_ledger"
-    parent_tree = work / "parent"
     shutil.rmtree(work, ignore_errors=True)
-    parent_tree.mkdir(parents=True)
+    trees = {"parent": work / "parent", "change": work / "change"}
     try:
-        export(args.parent, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
-        for tree in trees.values():
-            compile_tree(tree)
+        for side, rev in (("parent", args.parent), ("change", "HEAD")):
+            trees[side].mkdir(parents=True)
+            export(rev, trees[side])
+        imports = import_times(trees)
         runs: dict = {w: {"parent": [], "change": []} for w in WORKLOADS}
         for i in range(PAIRS):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
@@ -265,7 +298,14 @@ def main() -> int:
         "machine": platform.machine(),
         "settings": {"pairs": PAIRS, "seeds": [SEED + i for i in range(PAIRS)],
                      "order": "parent first on even pairs, change first on odd pairs",
-                     "per_call_rounds": CALLS},
+                     "per_call_rounds": CALLS, "import_rounds": IMPORT_ROUNDS,
+                     "bytecode_cache": "none (PYTHONDONTWRITEBYTECODE=1, fresh exports)"},
+        "imports": {
+            "note": f"in-process time of the import in a fresh interpreter, "
+                    f"{IMPORT_ROUNDS} rounds per tree, the trees alternating; "
+                    "change_faster: the rounds in which the change was faster",
+            **imports,
+        },
         "workloads": {
             w: {
                 "summary": {side: spread(runs[w][side]) for side in ("parent", "change")},
