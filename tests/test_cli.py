@@ -225,7 +225,7 @@ def test_bad_graph_token_is_reported(capsys):
 
 @pytest.mark.parametrize("expr", [",", "K3,,C5", " , K3"])
 def test_empty_family_token_is_refused(expr, tmp_path, capsys):
-    # an empty token used to be dropped, so "," ran as the empty family
+    # an empty token is an error, not a member to drop: "," is not the empty family
     assert main(["ex", "--n", "5", "--forbid", expr, "--out", str(tmp_path)]) == 2
     assert f"empty graph token in family {expr!r}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())

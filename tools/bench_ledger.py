@@ -1,9 +1,10 @@
-"""Before/after benchmark ledger: the parent commit against the working tree.
+"""Before/after benchmark ledger: the parent commit against HEAD.
 
     python3 tools/bench_ledger.py --parent <branch point> --out BENCH_<pr>.json
 
-Run it from the root of a git checkout, with the change committed.  `--out`
-is required, so that no run overwrites an earlier change's ledger.  It
+Run it from the root of a git checkout, with the change committed: it
+measures HEAD, not the working tree.  `--out` is required, so that no run
+overwrites an earlier change's ledger.  It
 exports the parent commit and HEAD with `git archive` into scratch
 directories (no worktree is registered in .git) and runs every child with
 PYTHONDONTWRITEBYTECODE=1, so that, as in a fresh checkout, no bytecode
@@ -259,7 +260,7 @@ def wins(parent: list, change: list) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--out", required=True, help="ledger file to write")
     args = parser.parse_args()
 
