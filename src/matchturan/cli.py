@@ -6,6 +6,11 @@ flags become its subparser, and a run parses the flag values by kind and
 calls the entry's `verifier.verify_*` function.  Only the commands that
 enumerate take `--ceiling` and `--workers`; only `verify` takes `--format`.
 
+A subcommand's arguments are added, and the engine modules imported, only
+when that subcommand is parsed (see `_LazyParser`), so parsing `ex` imports
+`graphs`, `containment` and `limits` alone; `verify` needs the theorem table
+and so the whole engine.
+
 Reports are JSON (with a fixed `payload` section that is byte-identical for
 identical configurations; wall time lives in a sidecar field) plus CSV
 summary tables for the verification grids.  Exit status is 0 iff every
@@ -22,10 +27,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import verifier
-from .constructions import ConstructionSpec, realize
 from .containment import GraphFamily
-from .covering import covering_report, family_fp
 from .graphs import (
     Graph,
     complete,
@@ -38,8 +40,7 @@ from .graphs import (
     to_graph6,
     turan_graph,
 )
-from .solver import HARD_CEILING, ex_general, validate_ceiling, validate_workers
-from .verifier import CSV_COLUMNS, GRAPH, INT, RANGE, THEOREMS, TheoremReport
+from .limits import HARD_CEILING, validate_ceiling, validate_workers
 
 _NAMED = {
     "K": complete,
@@ -91,6 +92,8 @@ def parse_family(expr: str, label: str | None = None) -> GraphFamily:
             raise ValueError(f"empty graph token in family {expr!r}")
         m = re.fullmatch(r"fp\((.+),(\d+)\)", tok)
         if m:
+            from .covering import family_fp
+
             members.extend(family_fp(parse_graph(m.group(1)), int(m.group(2))))
         else:
             members.append(parse_graph(tok))
@@ -124,20 +127,14 @@ def _write_json(outdir: Path, name: str, envelope: dict) -> None:
     )
 
 
-def _write_csv(outdir: Path, name: str, report: TheoremReport) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(report.csv_rows())
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_ex(args: argparse.Namespace) -> int:
+    from .solver import ex_general
+
     members = []
     labels = []
     for expr in (args.forbid, args.forbid_family):
@@ -162,6 +159,8 @@ def cmd_ex(args: argparse.Namespace) -> int:
 
 
 def cmd_family(args: argparse.Namespace) -> int:
+    from .covering import covering_report
+
     graph = parse_graph(args.graph)
     t0 = time.perf_counter()
     report = covering_report(graph, args.p, label=f"fp({args.graph},{args.p})")
@@ -180,6 +179,8 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    from .constructions import ConstructionSpec, realize
+
     # the subparser dests are named after ConstructionSpec fields
     fields = {k: v for k, v in vars(args).items() if k in ConstructionSpec._fields}
     if fields.get("objective") == "kr":
@@ -187,6 +188,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if args.construction == "gns":
         fam = parse_family(args.forbid)
     elif args.construction == "forest-extremal":
+        from .covering import family_fp
+
         fam = family_fp(parse_graph(args.forbidden), args.p - 1)
     else:
         fam = GraphFamily()
@@ -211,14 +214,16 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    theorem = THEOREMS[args.theorem]
+    from . import verifier
+
+    theorem = verifier.THEOREMS[args.theorem]
     values = []
     kwargs = {"ceiling": args.ceiling, "workers": args.workers}
     for _option, dest, kind in theorem.flags:
         value = getattr(args, dest)
-        if kind == RANGE:
+        if kind == verifier.RANGE:
             value = parse_range(value)
-        elif kind == GRAPH:
+        elif kind == verifier.GRAPH:
             kwargs["f_name"] = value
             value = parse_graph(value)
         values.append(value)
@@ -244,7 +249,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.format in ("json", "both"):
             _write_json(outdir, args.theorem, _envelope("verify", payload, report.elapsed))
         if args.format in ("csv", "both"):
-            _write_csv(outdir, args.theorem, report)
+            outdir.mkdir(parents=True, exist_ok=True)
+            with open(outdir / f"{args.theorem}.csv", "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(verifier.CSV_COLUMNS)
+                writer.writerows(report.csv_rows())
     if not report.passed:
         failure = {
             "theorem": report.theorem,
@@ -269,33 +278,42 @@ def _add_common(p: argparse.ArgumentParser, *, enumerates: bool = True) -> None:
     p.add_argument("--out", default=None, help="directory for report files")
 
 
-_FLAG_HELP = {RANGE: "range, e.g. 5..9", INT: None, GRAPH: "graph token, e.g. K4"}
+class _LazyParser(argparse.ArgumentParser):
+    """A subcommand's parser that adds its arguments by calling `fill(self)`
+    when argparse first hands it the command line, before it parses, prints
+    its help or reports an error, so that a process builds, and imports for,
+    only the subcommand it runs."""
+
+    def __init__(self, *args, fill=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fill = fill
+
+    def parse_known_args(self, *args, **kwargs):
+        fill, self._fill = self._fill, None
+        if fill is not None:
+            fill(self)
+        return super().parse_known_args(*args, **kwargs)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="matchturan",
-        description="Exact generalized Turán numbers under a matching constraint",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _fill_ex(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--forbid", default="", help="comma-separated graph tokens")
+    p.add_argument("--forbid-family", default="", help="family expression, e.g. fp(C5,2)")
+    p.add_argument("--forbid-file", default="", help="graph6 corpus file of forbidden graphs")
+    _add_common(p)
+    p.set_defaults(func=cmd_ex)
 
-    p_ex = sub.add_parser("ex", help="exact ex(n, K_r, family) with witnesses")
-    p_ex.add_argument("--n", type=int, required=True)
-    p_ex.add_argument("--r", type=int, default=2)
-    p_ex.add_argument("--forbid", default="", help="comma-separated graph tokens")
-    p_ex.add_argument("--forbid-family", default="", help="family expression, e.g. fp(C5,2)")
-    p_ex.add_argument("--forbid-file", default="", help="graph6 corpus file of forbidden graphs")
-    _add_common(p_ex)
-    p_ex.set_defaults(func=cmd_ex)
 
-    p_fam = sub.add_parser("family", help="cover family of a graph")
-    p_fam.add_argument("--graph", required=True)
-    p_fam.add_argument("--p", type=int, required=True)
-    _add_common(p_fam, enumerates=False)
-    p_fam.set_defaults(func=cmd_family)
+def _fill_family(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--graph", required=True)
+    p.add_argument("--p", type=int, required=True)
+    _add_common(p, enumerates=False)
+    p.set_defaults(func=cmd_family)
 
-    p_con = sub.add_parser("construct", help="candidate extremal constructions")
-    con_sub = p_con.add_subparsers(dest="construction", required=True)
+
+def _fill_construct(p: argparse.ArgumentParser) -> None:
+    con_sub = p.add_subparsers(dest="construction", required=True)
     c_gns = con_sub.add_parser("gns", help="split construction with optimal filling")
     c_gns.add_argument("--n", type=int, required=True)
     c_gns.add_argument("--s", type=int, required=True)
@@ -303,11 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     c_gns.add_argument("--objective", choices=("edges", "kr"), default="edges")
     c_gns.add_argument("--r", type=int, default=None)
     _add_common(c_gns)
-    c_gns.set_defaults(func=cmd_construct)
     c_clq = con_sub.add_parser("clique", help="odd clique on 2s+1 vertices")
     c_clq.add_argument("--s", type=int, required=True)
     _add_common(c_clq, enumerates=False)
-    c_clq.set_defaults(func=cmd_construct)
     c_for = con_sub.add_parser("forest-extremal", help="split construction plus odd cliques")
     c_for.add_argument("--n", type=int, required=True)
     c_for.add_argument("--p", type=int, required=True)
@@ -315,27 +331,43 @@ def build_parser() -> argparse.ArgumentParser:
     c_for.add_argument("--F", dest="forbidden", required=True,
                        help="forest whose cover family fills the construction")
     _add_common(c_for)
-    c_for.set_defaults(func=cmd_construct)
     c_tur = con_sub.add_parser("turan", help="balanced complete multipartite graph")
     c_tur.add_argument("--p", type=int, required=True)
     c_tur.add_argument("--k", dest="parts", metavar="K", type=int, required=True,
                        help="number of parts")
     _add_common(c_tur, enumerates=False)
-    c_tur.set_defaults(func=cmd_construct)
+    p.set_defaults(func=cmd_construct)
 
-    p_ver = sub.add_parser("verify", help="theorem verification grids")
-    ver_sub = p_ver.add_subparsers(dest="theorem", required=True)
 
+def _fill_verify(p: argparse.ArgumentParser) -> None:
+    from .verifier import GRAPH, INT, RANGE, THEOREMS
+
+    flag_help = {RANGE: "range, e.g. 5..9", INT: None, GRAPH: "graph token, e.g. K4"}
+    ver_sub = p.add_subparsers(dest="theorem", required=True)
     for theorem in THEOREMS.values():
         v = ver_sub.add_parser(theorem.command, help=theorem.help)
         for option, dest, kind in theorem.flags:
             v.add_argument(option, dest=dest, required=True,
-                           type=int if kind == INT else str, help=_FLAG_HELP[kind])
+                           type=int if kind == INT else str, help=flag_help[kind])
         _add_common(v)
         v.add_argument("--format", choices=("json", "csv", "both"), default="both",
                        help="report formats to write (with --out)")
-        v.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify)
 
+
+def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command.  Each subcommand is registered with its
+    help up front; its arguments, and the modules they need, are added when
+    argparse selects it or prints its help."""
+    parser = argparse.ArgumentParser(
+        prog="matchturan",
+        description="Exact generalized Turán numbers under a matching constraint",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_LazyParser)
+    sub.add_parser("ex", help="exact ex(n, K_r, family) with witnesses", fill=_fill_ex)
+    sub.add_parser("family", help="cover family of a graph", fill=_fill_family)
+    sub.add_parser("construct", help="candidate extremal constructions", fill=_fill_construct)
+    sub.add_parser("verify", help="theorem verification grids", fill=_fill_verify)
     return parser
 
 

@@ -136,29 +136,43 @@ def matching_number(g: Graph) -> int:
     (J. Edmonds, Paths, trees, and flowers, 1965): a greedy matching, then
     one alternating-tree search per free vertex, contracting odd cycles
     (blossoms) to their base; O(n^3)."""
-    _, mate = _maximum_matching(g)
+    mate = _maximum_matching(g)
     return (g.n - mate.count(-1)) // 2
 
 
-def _maximum_matching(g: Graph) -> tuple[list[list[int]], list[int]]:
-    # neighbour lists and the mate of each vertex (-1 if free) in a maximum
-    # matching
-    n = g.n
-    nbrs = [list(_bits(row)) for row in g.adj]
-    mate = [-1] * n
-    for v in range(n):
-        if mate[v] < 0:
-            for u in nbrs[v]:
-                if mate[u] < 0:
-                    mate[v], mate[u] = u, v
-                    break
-    free = mate.count(-1)
-    for root in range(n):
-        if free < 2:
-            break  # an augmenting path joins two free vertices
+def _maximum_matching(g: Graph) -> list[int]:
+    # the mate of each vertex (-1 if free) in a maximum matching.  The greedy
+    # phase runs on bitsets, visiting the vertices in order and matching each
+    # free one to its lowest free neighbour (all of them lie above it).  An
+    # augmenting path joins two free vertices that have neighbours, so the
+    # blossom search, and its neighbour lists, run only from those, and only
+    # while two of them are left.
+    adj = g.adj
+    mate = [-1] * g.n
+    rest = g.vertex_mask()  # the free vertices not yet visited
+    roots = []
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        v = b.bit_length() - 1
+        nb = adj[v] & rest
+        if nb:
+            c = nb & -nb
+            rest ^= c
+            u = c.bit_length() - 1
+            mate[v], mate[u] = u, v
+        elif adj[v]:
+            roots.append(v)
+    if len(roots) < 2:
+        return mate
+    nbrs = [list(_bits(row)) for row in adj]
+    left = len(roots)
+    for root in roots:
+        if left < 2:
+            break
         if mate[root] < 0 and _augment(nbrs, mate, [root]) is None:
-            free -= 2
-    return nbrs, mate
+            left -= 2
+    return mate
 
 
 def _augment(nbrs: list[list[int]], mate: list[int], roots: list[int]) -> list[bool] | None:
@@ -252,7 +266,8 @@ def tutte_berge_certificate(g: Graph) -> TutteBergeCertificate:
     matching misses, and B = N(D) - D.  The value is counted from B and the
     components of G - B alone, so it bounds the matching number from above
     whatever B is, and equals it because B is a minimizer; O(n^3)."""
-    nbrs, mate = _maximum_matching(g)
+    mate = _maximum_matching(g)
+    nbrs = [list(_bits(row)) for row in g.adj]
     outer = _augment(nbrs, mate, [v for v in range(g.n) if mate[v] < 0])
     assert outer is not None  # the matching is maximum
     b = tuple(v for v in range(g.n) if not outer[v] and any(outer[u] for u in nbrs[v]))

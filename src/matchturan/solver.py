@@ -33,7 +33,6 @@ import time
 from typing import Iterator, NamedTuple
 
 from .containment import GraphFamily, Plan, _plan, _through_edge, minimalize
-from .covering import family_fp, p_of_f
 from .graphs import (
     CanonicalForm,
     Graph,
@@ -44,8 +43,9 @@ from .graphs import (
     to_graph6,
 )
 from .invariants import count_cliques
+# HARD_CEILING is not used here, but solver.HARD_CEILING stays importable
+from .limits import HARD_CEILING, validate_ceiling, validate_workers  # noqa: F401
 
-HARD_CEILING = 10
 ENV_CEILING = "MATCHTURAN_CEILING"
 # parents per worker a level needs before it forks a pool.  The widest levels
 # of `verify-grid` (20 parents) and `ex --n 9 --forbid M3` (25) stay serial
@@ -64,28 +64,6 @@ def get_context(method: str):
 
 class CeilingError(ValueError):
     """Raised when an enumeration would exceed the configured ceiling."""
-
-
-def validate_ceiling(value: int | str, source: str) -> int:
-    """`value` (an int, or its decimal text) as an int in 1..HARD_CEILING,
-    else a ValueError naming the `source` it came from.  A bool or a float is
-    refused, as its text would be."""
-    try:
-        ceiling = int(value) if type(value) in (int, str) else 0
-    except ValueError:
-        ceiling = 0
-    if not 1 <= ceiling <= HARD_CEILING:
-        raise ValueError(
-            f"{source} must be an integer between 1 and {HARD_CEILING}, got {value!r}"
-        )
-    return ceiling
-
-
-def validate_workers(value: int, source: str) -> None:
-    """A ValueError naming the `source` unless `value` is an int >= 1 (not a
-    bool)."""
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{source} must be an integer >= 1, got {value!r}")
 
 
 def resolve_ceiling(family: GraphFamily, ceiling: int | None = None) -> int:
@@ -421,6 +399,8 @@ def ex_profile(
 ) -> ExProfile:
     """Profile p -> ex(p, K_{r-1}, cover-family(F, p)) for the p admissible
     under the matching bound s, with the argmax t (smallest on ties)."""
+    from .covering import family_fp, p_of_f
+
     p_limit = min(s + 1, p_of_f(f))  # p(F) is infinite or an int
     points = []
     for p in range(1, p_limit):

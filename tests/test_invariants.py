@@ -181,6 +181,33 @@ def test_matching_number_structured():
     assert matching_number(turan_graph(9, 3)) == 4
 
 
+def _twelve_pentagons() -> Graph:
+    g = Graph(0)
+    for _ in range(12):
+        g = disjoint_union(g, cycle(5))
+    return g
+
+
+@pytest.mark.parametrize("label, build, value", [
+    ("turan(64,4)", lambda: turan_graph(64, 4), 32),
+    ("K(32,32)", lambda: complete_bipartite(32, 32), 32),
+    ("star(32)", lambda: star(32), 1),
+    ("empty(64)", lambda: empty(64), 0),
+    ("12xC5", _twelve_pentagons, 24),
+    ("cycle(64)", lambda: cycle(64), 32),
+    ("matching(20)", lambda: matching(20), 20),
+])
+def test_matching_number_on_relabelled_large_shapes(label, build, value):
+    # three random relabellings each: the greedy phase meets the vertices in
+    # another order every time, and on star and cycle the blossom search has
+    # to finish what it leaves
+    g = build()
+    for seed in range(3):
+        h = relabel(g, random.Random(seed).sample(range(g.n), g.n))
+        assert matching_number(h) == value
+        assert tutte_berge_certificate(h).value == value
+
+
 def _oracle_matching_number(g, avail=None):
     """The memoized search matching_number used before the blossom:
     exponential, exact.  With avail, the matching number of the subgraph

@@ -67,6 +67,35 @@ def test_importing_the_cli_does_not_load_dataclasses():
     assert _fresh("import sys, matchturan.cli; print('dataclasses' in sys.modules)") == "False"
 
 
+LIGHT = ["matchturan", "matchturan.cli", "matchturan.containment", "matchturan.graphs",
+         "matchturan.limits"]
+ENGINE = sorted([*LIGHT, "matchturan.constructions", "matchturan.covering",
+                 "matchturan.invariants", "matchturan.solver", "matchturan.verifier"])
+PARSED = {
+    "ex --n 8 --forbid M4": LIGHT,
+    "family --graph C5 --p 2": LIGHT,
+    "construct gns --n 7 --s 2 --forbid K3": LIGHT,
+    "verify ma-hou --n 5 --s 1 --r 2 --k 3": ENGINE,
+}
+
+
+def _loaded_after(statement: str) -> list[str]:
+    code = f"import sys\n{statement}\nprint(*sorted(sys.modules))"
+    return [m for m in _fresh(code).split() if m.startswith("matchturan")]
+
+
+@pytest.mark.parametrize("argv", PARSED)
+def test_parsing_a_command_imports_only_what_it_needs(argv):
+    statement = f"from matchturan import cli; cli.build_parser().parse_args({argv.split()!r})"
+    assert _loaded_after(statement) == PARSED[argv]
+
+
+def test_an_ex_run_adds_only_the_solver_and_invariants():
+    statement = "from matchturan import cli; cli.main(['ex', '--n', '5', '--forbid', 'M2'])"
+    expected = sorted([*LIGHT, "matchturan.invariants", "matchturan.solver"])
+    assert _loaded_after(statement) == expected
+
+
 def test_dir_is_the_pinned_export_list():
     assert dir(matchturan) == EXPORTED
     assert sorted(matchturan.__all__) == [n for n in EXPORTED if n != "__version__"]

@@ -17,8 +17,10 @@ tree runs its own copy of perfbench/, which checks its CLI payloads
 against its golden files.
 
 It times `import matchturan`, `import matchturan.graphs` and `import
-matchturan.cli` in fresh interpreters, in process (interpreter start-up
-excluded), IMPORT_ROUNDS rounds per module, the trees alternating and
+matchturan.cli`, and the parse of one `ex` command (`parse ex`: build the
+parser, parse `ex --n 8 --forbid M4` and its family, as `enum-matching`'s
+set-up does), in fresh interpreters, in process (interpreter start-up
+excluded), IMPORT_ROUNDS rounds per row, the trees alternating and
 swapping which goes first every round, and keeps each tree's median and
 the rounds in which the change was faster.
 
@@ -63,8 +65,16 @@ PAIRS = 10  # parent/change run pairs per workload
 SEED = 701  # seed of the first pair; pair i runs seed SEED + i
 CALLS = 30  # per-call rounds per graph and op, alternating the trees call by call
 OPS = ["canonical_form", "matching_number"]
-IMPORTS = ["matchturan", "matchturan.graphs", "matchturan.cli"]
-IMPORT_ROUNDS = 15  # fresh interpreters per tree and module
+# row of the imports table -> the statement it times
+IMPORTS = {
+    "matchturan": "import matchturan",
+    "matchturan.graphs": "import matchturan.graphs",
+    "matchturan.cli": "import matchturan.cli",
+    "parse ex": "from matchturan import cli; "
+                "cli.build_parser().parse_args(['ex', '--n', '8', '--forbid', 'M4']); "
+                "cli.parse_family('M4')",
+}
+IMPORT_ROUNDS = 15  # fresh interpreters per tree and row
 
 # runs inside each tree's interpreter: reads "<op> <graph index> <a|b>" lines
 # and answers each with one JSON line, the call's time in us (null: still
@@ -122,9 +132,9 @@ def export(rev: str, dest: Path) -> None:
         tar.extractall(dest)
 
 
-def import_ms(tree: Path, module: str) -> float:
-    """In-process time of `import module` in a fresh interpreter, in ms."""
-    code = f"import time; t = time.perf_counter(); import {module}; print(time.perf_counter() - t)"
+def import_ms(tree: Path, statement: str) -> float:
+    """In-process time of `statement` in a fresh interpreter, in ms."""
+    code = f"import time; t = time.perf_counter(); {statement}; print(time.perf_counter() - t)"
     out = subprocess.run(
         [sys.executable, "-c", code], cwd=tree, check=True, capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(tree / "src")),
@@ -133,19 +143,19 @@ def import_ms(tree: Path, module: str) -> float:
 
 
 def import_times(trees: dict) -> dict:
-    """Per module: each tree's import times and their median, and the
-    rounds in which the change was faster."""
+    """Per row: each tree's times and their median, and the rounds in which
+    the change was faster."""
     out = {}
-    for module in IMPORTS:
+    for row, statement in IMPORTS.items():
         times: dict = {side: [] for side in trees}
         won = 0
         for r in range(IMPORT_ROUNDS):
             order = ["parent", "change"] if r % 2 == 0 else ["change", "parent"]
-            got = {side: import_ms(trees[side], module) for side in order}
+            got = {side: import_ms(trees[side], statement) for side in order}
             for side, ms in got.items():
                 times[side].append(round(ms, 2))
             won += got["change"] < got["parent"]
-        out[module] = {
+        out[row] = {
             **{f"{side}_median_ms": statistics.median(times[side]) for side in trees},
             "change_faster": won,
             "rounds_ms": times,
@@ -302,8 +312,10 @@ def main() -> int:
                      "per_call_rounds": CALLS, "import_rounds": IMPORT_ROUNDS,
                      "bytecode_cache": "none (PYTHONDONTWRITEBYTECODE=1, fresh exports)"},
         "imports": {
-            "note": f"in-process time of the import in a fresh interpreter, "
-                    f"{IMPORT_ROUNDS} rounds per tree, the trees alternating; "
+            "note": f"in-process time of the import (parse ex: of the parser's "
+                    "build, the parse of ex --n 8 --forbid M4 and parse_family('M4')) "
+                    f"in a fresh interpreter, {IMPORT_ROUNDS} rounds per tree, the "
+                    "trees alternating; "
                     "change_faster: the rounds in which the change was faster",
             **imports,
         },
