@@ -2,7 +2,10 @@
 
 Every operation compares a brute-force side (solver enumeration only)
 against a formula side (constructions / covering modules only) point by
-point, so agreement is evidence rather than tautology.  Hypothesis gates
+point, so agreement is evidence rather than tautology.  `_brute` is the one
+brute side of the `erdos-gallai`, `ma-hou`, `main`, `gerbner` and `forest`
+points: within a run it enumerates each family once, at the grid's largest
+n, and scores every (n, r) point from that table.  Hypothesis gates
 (minimum independent-cover size, profile argmax, color-criticality,
 balanced-forest shape) are computed, never assumed.
 
@@ -23,7 +26,7 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from .constructions import build_forest_extremal, build_g_n_s
-from .containment import GraphFamily
+from .containment import GraphFamily, minimalize
 from .covering import covering_report, family_fp, is_color_critical, p_of_f
 from .graphs import (
     Graph,
@@ -32,6 +35,7 @@ from .graphs import (
     cycle,
     disjoint_union,
     empty,
+    induced,
     matching,
     to_graph6,
     turan_graph,
@@ -43,7 +47,7 @@ from .invariants import (
     matching_number,
     tutte_berge_certificate,
 )
-from .solver import CeilingError, ExResult, enumerate_free, ex_general, ex_profile
+from .solver import CeilingError, ExResult, enumerate_free, ex_general, ex_profile, resolve_ceiling
 
 CSV_COLUMNS = (
     "theorem",
@@ -193,7 +197,8 @@ class Theorem(NamedTuple):
     A point starts as a grid row's leading values under the keys in
     `params`; `score(ctx, point, *row)` adds both sides and the verdict
     (a row may carry values beyond the parameters).  `ctx` holds
-    the arguments of the `verify_*` call plus `opts` (ceiling and workers).
+    the arguments of the `verify_*` call plus `opts` (ceiling and workers),
+    the run's largest n (`horizon`) and `_brute`'s tables.
     `gate(ctx)`, when given, computes the hypothesis and the values every
     point shares (stored on `ctx`); it returns the gate status (None when
     met) and summary fields.  `finish(ctx, points)` may relabel verdicts and
@@ -219,8 +224,13 @@ def _run(
     """Score `rows` (in the order given) under `command`'s theorem."""
     theorem = THEOREMS[command]
     t0 = time.perf_counter()
-    ctx = SimpleNamespace(opts={"ceiling": ceiling, "workers": workers}, **ctx)
     points = [dict(zip(theorem.params, row)) for row in rows]
+    ctx = SimpleNamespace(
+        opts={"ceiling": ceiling, "workers": workers},
+        horizon=max((p["n"] for p in points if "n" in p), default=0),
+        tables={},
+        **ctx,
+    )
     status, extra = theorem.gate(ctx) if theorem.gate else (None, {})
     if status is not None:
         for point in points:
@@ -235,6 +245,48 @@ def _run(
     return TheoremReport(theorem.name, points, summary, time.perf_counter() - t0, theorem.params)
 
 
+def _brute(ctx: SimpleNamespace, n: int, r: int, family: GraphFamily) -> ExResult:
+    """ex(n, K_r, family): the brute side of a point, from the run's table.
+
+    When no minimal member has an isolated vertex, G -> G + (N - n)K1 maps
+    the family-free classes on n vertices one to one onto the family-free
+    classes on N vertices with at least N - n isolated vertices, and keeps
+    N_r for r >= 2.  So each minimalized family is enumerated once per run,
+    at N = the run's largest n (capped by the family's ceiling), each class
+    kept with its isolated-vertex count and its K_r counts per r, and every
+    n <= N is scored from that table; a witness is the canonical form of a
+    tying class less N - n isolated vertices.  r < 2, and a family with an
+    isolated vertex in some minimal member, go to ex_general."""
+    reduced = minimalize(family)
+    if r < 2 or any(0 in m.adj for m in reduced):
+        return ex_general(n, r, family, **ctx.opts)
+    t0 = time.perf_counter()
+    # past the ceiling the depth is n, so enumerate_free refuses this point
+    depth = max(n, min(ctx.horizon, resolve_ceiling(family, ctx.opts["ceiling"])))
+    key = (reduced.members, depth)
+    if key not in ctx.tables:
+        classes = list(enumerate_free(depth, family, **ctx.opts))
+        ctx.tables[key] = (classes, [g.adj.count(0) for g in classes], {})
+    classes, isolated, counts = ctx.tables[key]
+    if r not in counts:
+        counts[r] = [count_cliques(g, r) for g in classes]
+    pad = depth - n
+    scored = [(c, g) for g, k, c in zip(classes, isolated, counts[r]) if k >= pad]
+    best = max((c for c, _ in scored), default=None)
+    witnesses = sorted(
+        to_graph6(canonical_form(_less_isolated(g, pad)).graph) for c, g in scored if c == best
+    )
+    return ExResult(
+        n, r, family.label, best, tuple(witnesses), len(scored), time.perf_counter() - t0
+    )
+
+
+def _less_isolated(g: Graph, k: int) -> Graph:
+    """g less k of its isolated vertices."""
+    isolated = [v for v, row in enumerate(g.adj) if not row]
+    return induced(g, set(range(g.n)).difference(isolated[:k]))
+
+
 # ---------------------------------------------------------------------------
 # classical matching-only bound
 # ---------------------------------------------------------------------------
@@ -244,7 +296,7 @@ def _erdos_gallai_point(ctx: SimpleNamespace, point: dict, n: int, s: int) -> No
     if n < 2 * s + 1:
         raise ValueError(f"need n >= 2s+1, got n={n}, s={s}")
     fam = GraphFamily([matching(s + 1)])
-    brute = ex_general(n, 2, fam, **ctx.opts)
+    brute = _brute(ctx, n, 2, fam)
     clique = complete(2 * s + 1)
     split = build_g_n_s(n, s, GraphFamily([complete(s + 1)]), "edges", **ctx.opts)
     _compare(
@@ -275,7 +327,7 @@ def _ma_hou_point(ctx: SimpleNamespace, point: dict, n: int, s: int, r: int, k: 
     if not 2 <= r <= k:
         raise ValueError(f"need k >= r >= 2, got r={r}, k={k}")
     fam = GraphFamily([matching(s + 1), complete(k + 1)])
-    brute = ex_general(n, r, fam, **ctx.opts)
+    brute = _brute(ctx, n, r, fam)
     clique_cand = turan_graph(2 * s + 1, min(k, 2 * s + 1))
     clique_val = count_cliques(clique_cand, r)
     split = build_g_n_s(n, s, GraphFamily([complete(k)]), "kr_count", r, **ctx.opts)
@@ -314,6 +366,8 @@ def verify_ma_hou(
 
 
 def _main_gate(ctx: SimpleNamespace) -> tuple[str | None, dict]:
+    if ctx.r < 2:
+        raise ValueError(f"need r >= 2, got r={ctx.r}")
     pf = p_of_f(ctx.f)
     profile = ex_profile(ctx.f, ctx.r, ctx.s, **ctx.opts)
     gate = {
@@ -332,7 +386,7 @@ def _main_gate(ctx: SimpleNamespace) -> tuple[str | None, dict]:
 
 def _main_point(ctx: SimpleNamespace, point: dict, f_name: str, n: int, s: int, r: int) -> None:
     forb = GraphFamily([matching(s + 1), ctx.f])
-    brute = ex_general(n, r, forb, **ctx.opts)
+    brute = _brute(ctx, n, r, forb)
     formula = ctx.ex_lower * (n - s) + ctx.ex_inner
     build = build_g_n_s(n, s, ctx.fam, "kr_count", r, **ctx.opts)
     predicted = _witness_set(build.witness_graphs())
@@ -382,7 +436,7 @@ def _gerbner_gate(ctx: SimpleNamespace) -> tuple[str | None, dict]:
 
 def _gerbner_point(ctx: SimpleNamespace, point: dict, f_name: str, n: int, s: int) -> None:
     forb = GraphFamily([matching(s + 1), ctx.f])
-    brute = ex_general(n, 2, forb, **ctx.opts)
+    brute = _brute(ctx, n, 2, forb)
     point.update(
         brute=brute.value,
         formula=f"{ctx.pf - 1}*n+C",
@@ -457,7 +511,7 @@ def _forest_gate(ctx: SimpleNamespace) -> tuple[str | None, dict]:
 def _forest_point(ctx: SimpleNamespace, point: dict, f_name: str, n: int, s: int) -> None:
     p = ctx.p
     forb = GraphFamily([ctx.f, matching(s + 1)])
-    brute = ex_general(n, 2, forb, **ctx.opts)
+    brute = _brute(ctx, n, 2, forb)
     formula = (p - 1) * (n - p + 1) + ctx.ex_fill
     predicted = _witness_set(
         [

@@ -24,6 +24,15 @@ excluded), IMPORT_ROUNDS rounds per row, the trees alternating and
 swapping which goes first every round, and keeps each tree's median and
 the rounds in which the change was faster.
 
+It times the fixed CLI runs of CLI_RUNS (`verify erdos-gallai --n 5..9
+--s 1..3`, `ex --n 9 --forbid M4`, `verify main --F K4 --s 2 --r 3 --n
+6..9`), each at every worker count of CLI_WORKERS, as whole fresh
+interpreters writing their reports, CLI_ROUNDS rounds per run, the trees
+alternating and swapping which goes first every round.  Per run it keeps
+each tree's median, the rounds in which the change was faster, and whether
+the two trees' report `payload` sections were byte-identical in every
+round.
+
 It also times `graphs.canonical_form` and `invariants.matching_number`
 call by call on the domain-64 corpus at seed 1, each call on a fresh graph
 and under the workload's deadline.  One long-lived interpreter per tree
@@ -38,7 +47,7 @@ relabellings), and the ledger states whether the two trees agree.
 The JSON it writes holds both commits, the machine, every run's metrics
 and `correct` flag, per workload and side the median and quartiles of each
 end-to-end metric, the number of pairs the change won, the import
-times, the per-call times and the canonical-form digests.
+times, the CLI runs, the per-call times and the canonical-form digests.
 """
 
 from __future__ import annotations
@@ -53,6 +62,7 @@ import statistics
 import subprocess
 import sys
 import tarfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,6 +85,14 @@ IMPORTS = {
                 "cli.parse_family('M4')",
 }
 IMPORT_ROUNDS = 15  # fresh interpreters per tree and row
+# row of the CLI runs table -> the command line, run at each worker count
+CLI_RUNS = {
+    "verify erdos-gallai": ["verify", "erdos-gallai", "--n", "5..9", "--s", "1..3"],
+    "ex M4": ["ex", "--n", "9", "--forbid", "M4"],
+    "verify main K4": ["verify", "main", "--F", "K4", "--s", "2", "--r", "3", "--n", "6..9"],
+}
+CLI_WORKERS = [1, 2]
+CLI_ROUNDS = 5  # fresh interpreters per tree, run and worker count
 
 # runs inside each tree's interpreter: reads "<op> <graph index> <a|b>" lines
 # and answers each with one JSON line, the call's time in us (null: still
@@ -160,6 +178,48 @@ def import_times(trees: dict) -> dict:
             "change_faster": won,
             "rounds_ms": times,
         }
+    return out
+
+
+def cli_run(tree: Path, argv: list, out: Path) -> tuple[float, str]:
+    """Wall time in s of one CLI process that writes its report to `out`,
+    and the report's payload section as sorted JSON."""
+    shutil.rmtree(out, ignore_errors=True)
+    t = time.perf_counter()
+    subprocess.run(
+        [sys.executable, "-m", "matchturan.cli", *argv, "--out", str(out)], cwd=tree,
+        check=True, capture_output=True, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+    )
+    wall = time.perf_counter() - t
+    (report,) = out.glob("*.json")
+    return wall, json.dumps(json.loads(report.read_text())["payload"], sort_keys=True)
+
+
+def cli_times(trees: dict, work: Path) -> dict:
+    """Per run and worker count: each tree's times and their median, the
+    rounds in which the change was faster, and whether the payloads agreed
+    in every round."""
+    out = {}
+    for row, argv in CLI_RUNS.items():
+        for workers in CLI_WORKERS:
+            command = [*argv, "--workers", str(workers)]
+            times: dict = {side: [] for side in trees}
+            won = 0
+            identical = True
+            for r in range(CLI_ROUNDS):
+                order = ["parent", "change"] if r % 2 == 0 else ["change", "parent"]
+                got = {side: cli_run(trees[side], command, work / f"cli-{side}") for side in order}
+                for side, (wall, _) in got.items():
+                    times[side].append(round(wall, 4))
+                won += got["change"][0] < got["parent"][0]
+                identical &= got["change"][1] == got["parent"][1]
+            out[f"{row} --workers {workers}"] = {
+                "argv": command,
+                **{f"{side}_median_s": statistics.median(times[side]) for side in trees},
+                "change_faster": won,
+                "payload_identical": identical,
+                "rounds_s": times,
+            }
     return out
 
 
@@ -283,6 +343,7 @@ def main() -> int:
             trees[side].mkdir(parents=True)
             export(rev, trees[side])
         imports = import_times(trees)
+        cli = cli_times(trees, work)
         runs: dict = {w: {"parent": [], "change": []} for w in WORKLOADS}
         for i in range(PAIRS):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
@@ -310,6 +371,7 @@ def main() -> int:
         "settings": {"pairs": PAIRS, "seeds": [SEED + i for i in range(PAIRS)],
                      "order": "parent first on even pairs, change first on odd pairs",
                      "per_call_rounds": CALLS, "import_rounds": IMPORT_ROUNDS,
+                     "cli_rounds": CLI_ROUNDS,
                      "bytecode_cache": "none (PYTHONDONTWRITEBYTECODE=1, fresh exports)"},
         "imports": {
             "note": f"in-process time of the import (parse ex: of the parser's "
@@ -318,6 +380,14 @@ def main() -> int:
                     "trees alternating; "
                     "change_faster: the rounds in which the change was faster",
             **imports,
+        },
+        "cli_runs": {
+            "note": f"wall time of the whole CLI process (interpreter start-up "
+                    f"included) in a fresh interpreter, {CLI_ROUNDS} rounds per tree, the "
+                    "trees alternating; change_faster: the rounds in which the change "
+                    "was faster; payload_identical: the two trees' report payload "
+                    "sections were byte-identical in every round",
+            **cli,
         },
         "workloads": {
             w: {
