@@ -424,58 +424,40 @@ def _picked_rows(n: int, adj: tuple[int, ...], order: list[int]) -> tuple[int, .
     return tuple(int("".join(pick(format(adj[v], form))), 2) for v in order)
 
 
-class _Orbits:
-    """Orbits on a search node's target cell of the automorphisms found so
-    far that fix the node's individualised prefix (a mask): those whose
-    support misses it.  They preserve the node's colouring, so they map the
-    cell onto itself.  Each orbit is rooted at its least vertex.  A vertex
-    that is not the least of its cycle in one of them is no root, which a
-    mask settles; only if some vertex survives that does the union-find
-    take in the automorphisms, one union per spanning edge (see _cycles)."""
-
-    __slots__ = ("parent", "prefix", "cell", "seen", "pending", "joined")
-
-    def __init__(self, n: int, prefix: int, cell: int):
-        self.parent = list(range(n))
-        self.prefix = prefix
-        self.cell = cell
-        self.seen = 0  # automorphisms looked at
-        self.pending: list[tuple[tuple[int, ...], int, int, int]] = []  # not unioned yet
-        self.joined = 0  # the vertices that no longer root their orbit
-
-    def roots(self, autos: list[tuple[tuple[int, ...], int, int, int]], mask: int) -> int:
-        """The vertices of `mask`, a part of the cell left from the last
-        call, that root their orbit once the automorphisms added since then
-        are in."""
-        prefix, cell, pending = self.prefix, self.cell, self.pending
-        for auto in autos[self.seen :]:
-            if auto[3] & cell and not auto[1] & prefix:
-                mask &= ~auto[2]
-                pending.append(auto)
-        self.seen = len(autos)
-        if not mask & ~self.joined or not pending:
-            return mask & ~self.joined
-        parent, joined = self.parent, self.joined
-        for sigma, _, _, links in pending:
-            m = links & cell
-            while m:
-                b = m & -m
-                m ^= b
-                a = b.bit_length() - 1
-                c = sigma[a]
-                while parent[a] != a:
-                    parent[a] = a = parent[parent[a]]
-                while parent[c] != c:
-                    parent[c] = c = parent[parent[c]]
-                if a < c:
-                    parent[c] = a
-                    joined |= 1 << c
-                elif c < a:
-                    parent[a] = c
-                    joined |= 1 << a
-        pending.clear()
-        self.joined = joined
-        return mask & ~joined
+def _orbit_roots(
+    n: int, autos: list[tuple[tuple[int, ...], int, int, int]], prefix: int, cell: int, mask: int
+) -> int:
+    """The vertices of `mask`, part of a search node's target cell, that are
+    the least of their orbit under the automorphisms of `autos` that fix the
+    node's prefix (a mask), those whose support misses it; they map the cell
+    onto itself.  A vertex that is not the least of its cycle in one of them
+    is no root, which a mask settles; a union-find over the spanning edges
+    of their cycles (see _cycles) runs only if some vertex survives that."""
+    fixing = [auto for auto in autos if auto[3] & cell and not auto[1] & prefix]
+    for auto in fixing:
+        mask &= ~auto[2]
+    if not mask or not fixing:
+        return mask
+    parent = list(range(n))
+    joined = 0  # the vertices that do not root their orbit
+    for sigma, _, _, links in fixing:
+        m = links & cell
+        while m:
+            b = m & -m
+            m ^= b
+            a = b.bit_length() - 1
+            c = sigma[a]
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[c] != c:
+                parent[c] = c = parent[parent[c]]
+            if a < c:
+                parent[c] = a
+                joined |= 1 << c
+            elif c < a:
+                parent[a] = c
+                joined |= 1 << a
+    return mask & ~joined
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -498,7 +480,8 @@ def canonical_form(g: Graph) -> CanonicalForm:
     graph isomorphism II, 2014), so the skipped leaves repeat explored rows
     and the result is that of the full tree:
     - orbit pruning: a child in the orbit of an explored sibling under the
-      automorphisms found so far that fix the prefix;
+      automorphisms found so far that fix the prefix (_orbit_roots, taken
+      afresh from all of them whenever the node has taken in new ones);
     - twins: a child w whose neighbourhood outside {z, w} equals that of the
       node's first child z, because the transposition (z w) is an
       automorphism;
@@ -609,12 +592,12 @@ def canonical_form(g: Graph) -> CanonicalForm:
                 return level
             # recorded automorphisms that fix the prefix may already join
             # part of T: one transposition per other orbit suffices
-            roots = _Orbits(n, prefix, cell).roots(autos, cell) if autos else cell
+            roots = _orbit_roots(n, autos, prefix, cell, cell)
             for w in order[1:]:
                 if roots >> w & 1:
                     transpose(z, w)
             return depth
-        orbits = _Orbits(n, prefix, cell)
+        seen = 0  # the automorphisms m has taken in
         m = cell
         while m:
             b = m & -m
@@ -623,10 +606,11 @@ def canonical_form(g: Graph) -> CanonicalForm:
             if w != z:
                 if seeds is None:
                     seed()
-                if orbits.seen < len(autos):
+                if seen < len(autos):
                     # every vertex of the cell below w was tried or joined to
                     # a tried one, so only the orbit roots are left to try
-                    m = orbits.roots(autos, m | b)
+                    seen = len(autos)
+                    m = _orbit_roots(n, autos, prefix, cell, m | b)
                     if not m & b:
                         continue
                     m ^= b
@@ -689,21 +673,17 @@ def _component_generators(g: Graph) -> list[tuple[tuple[int, ...], int]]:
                     forms[sub] = canonical_form(sub)
                 classes.setdefault(forms[sub].key(), []).append((comp, verts, forms[sub]))
     gens = []
-    moves: dict[int, list[list[tuple[int, int]]]] = {}  # per form: what each generator moves
     for copies in classes.values():
         if len(copies) < 2:
             continue
         for _, verts, cf in copies:
-            if id(cf) not in moves:
-                moves[id(cf)] = [
-                    [(i, x) for i, x in enumerate(sigma) if x != i] for sigma in cf.automorphisms
-                ]
-            for pairs in moves[id(cf)]:
+            for sigma in cf.automorphisms:
                 perm = list(range(n))
                 support = 0
-                for i, x in pairs:
-                    perm[verts[i]] = verts[x]
-                    support |= 1 << verts[i]
+                for i, x in enumerate(sigma):
+                    if x != i:
+                        perm[verts[i]] = verts[x]
+                        support |= 1 << verts[i]
                 gens.append((tuple(perm), support))
         for (comp, verts, cf), (other_comp, other, other_cf) in zip(copies, copies[1:]):
             if other_cf is not cf:  # the two labellings induce different rows

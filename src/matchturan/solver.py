@@ -36,7 +36,6 @@ from .containment import GraphFamily, Plan, _plan, _through_edge, minimalize
 from .graphs import (
     CanonicalForm,
     Graph,
-    _colors,
     _raw,
     _root_cells,
     canonical_form,
@@ -161,28 +160,28 @@ def _pair_orbit(
 
 
 def _top_class(child: Graph, u: int, v: int) -> list[tuple[int, int]] | None:
-    # An edge's colour is its sorted pair of endpoint colours under the
-    # child's equitable refinement, an isomorphism invariant.  Returns the
-    # edges of the largest colour when uv has it, else None.
-    n, adj = child.n, child.adj
-    colors = _colors(n, _root_cells(child))
-    cu, cv = colors[u], colors[v]
-    top = (cu, cv) if cu < cv else (cv, cu)
+    # An edge's colour is the sorted pair of its endpoints' cells in the
+    # child's equitable refinement, an isomorphism invariant.  The top colour
+    # joins the highest cell with an edge into itself or a higher cell to the
+    # highest cell that one reaches (a cell's vertices agree on their counts
+    # to each cell).  Its edges in (a, b) order if uv (u < v) is one, else None.
+    adj = child.adj
+    cells = _root_cells(child)
+    above = 0
+    for low in reversed(cells):
+        above |= low
+        reach = adj[(low & -low).bit_length() - 1]
+        if reach & above:
+            break
+    high = next(c for c in reversed(cells) if c & reach)
     out = []
-    for a in range(n):
-        ca = colors[a]
-        m = adj[a] >> (a + 1)
+    for a in range(child.n):
+        m = (adj[a] & (high if low >> a & 1 else low if high >> a & 1 else 0)) >> (a + 1)
         while m:
-            bit = m & -m
-            m ^= bit
-            b = a + bit.bit_length()
-            cb = colors[b]
-            pair = (ca, cb) if ca < cb else (cb, ca)
-            if pair > top:
-                return None
-            if pair == top:
-                out.append((a, b))
-    return out
+            b = m & -m
+            m ^= b
+            out.append((a, a + b.bit_length()))
+    return out if (u, v) in out else None
 
 
 def _round0_rejects(n: int, rows: tuple[int, ...]) -> list[int]:

@@ -13,11 +13,11 @@ from matchturan.graphs import (
     Graph,
     Graph6Error,
     GraphCapacityError,
-    _Orbits,
     _bits,
     _colors,
     _count_planes,
     _cycles,
+    _orbit_roots,
     _permuted_rows,
     _picked_rows,
     _raw,
@@ -557,14 +557,58 @@ def test_orbits_follow_only_automorphisms_that_fix_the_prefix():
     # and is ignored; (1 3), then (2 3), join 1, 2 and 3, though 2 is the
     # least of its cycle in both, so only the union-find drops it
     cell = 0b11110
-    orbits = _Orbits(5, 1 << 0, cell)
     autos = [_auto((1, 0, 3, 2, 4))]
-    assert orbits.roots(autos, cell) == cell
+    assert _orbit_roots(5, autos, 1 << 0, cell, cell) == cell
     autos.append(_auto((0, 3, 2, 1, 4)))
-    assert orbits.roots(autos, cell) == 0b10110
+    assert _orbit_roots(5, autos, 1 << 0, cell, cell) == 0b10110
     autos.append(_auto((0, 1, 3, 2, 4)))
-    assert orbits.roots(autos, 0b10110) == 0b10010
-    assert orbits.roots(autos, 0b10010) == 0b10010  # nothing new
+    assert _orbit_roots(5, autos, 1 << 0, cell, 0b10110) == 0b10010
+    assert _orbit_roots(5, autos, 1 << 0, cell, 0b10010) == 0b10010  # nothing new
+
+
+def test_orbit_roots_match_a_plain_union_find():
+    # random permutation sets on up to 16 points, split into a prefix, a
+    # target cell and the rest; a permutation that fixes the prefix maps the
+    # cell onto itself, as an automorphism maps a node's target cell
+    rng = random.Random(27)
+    pruned = 0
+    for _ in range(400):
+        n = rng.randint(2, 16)
+        points = rng.sample(range(n), n)
+        k = rng.randint(0, n - 2)
+        prefix, cell = points[:k], points[k : k + rng.randint(2, n - k)]
+        rest = points[k + len(cell) :]
+        prefix_mask = sum(1 << v for v in prefix)
+        cell_mask = sum(1 << v for v in cell)
+        autos = []
+        for _ in range(rng.randint(0, 6)):
+            if prefix and rng.random() < 0.3:  # moves prefix[0]: any permutation
+                sigma = rng.sample(range(n), n)
+                j = sigma.index(rng.choice([v for v in range(n) if v != prefix[0]]))
+                sigma[prefix[0]], sigma[j] = sigma[j], sigma[prefix[0]]
+            else:
+                sigma = list(range(n))
+                for part in (cell, rest):
+                    for v, x in zip(part, rng.sample(part, len(part))):
+                        sigma[v] = x
+            autos.append(_auto(tuple(sigma)))
+        parent = list(range(n))
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for sigma, support, _, _ in autos:
+            if not support & prefix_mask:
+                for v in cell:
+                    a, b = find(v), find(sigma[v])
+                    parent[max(a, b)] = min(a, b)
+        mask = cell_mask & rng.getrandbits(n) if rng.random() < 0.5 else cell_mask
+        expected = sum(1 << v for v in cell if mask >> v & 1 and find(v) == v)
+        assert _orbit_roots(n, autos, prefix_mask, cell_mask, mask) == expected, autos
+        pruned += expected != mask
+    assert pruned > 100  # sets in which some vertex of the mask is no root
 
 
 @pytest.mark.parametrize("n", range(12, 65))

@@ -22,6 +22,8 @@ from matchturan.containment import (
 from matchturan.covering import family_fp
 from matchturan.graphs import (
     Graph,
+    _colors,
+    _root_cells,
     canonical_form,
     complete,
     cycle,
@@ -460,6 +462,51 @@ def test_round0_tables_match_direct_rule_and_respect_orbits():
                 rejected += verdict
                 accepted += not verdict
     assert rejected > 500 and accepted > 500
+
+
+def _colour_pair_top_class(child, u, v):
+    """Oracle: an edge's colour is the sorted pair of its endpoints' colours
+    under the child's root refinement; the edges of the largest colour, in
+    (a, b) order, when uv has it, else None."""
+    n = child.n
+    colors = _colors(n, _root_cells(child))
+    top = tuple(sorted((colors[u], colors[v])))
+    out = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            if child.has_edge(a, b):
+                pair = tuple(sorted((colors[a], colors[b])))
+                if pair > top:
+                    return None
+                if pair == top:
+                    out.append((a, b))
+    return out
+
+
+def test_top_class_matches_the_colour_pair_definition(monkeypatch):
+    """_top_class reads the top colour off the cells; it returns what the
+    colour-pair scan returns, in the same order, on every child the
+    enumeration tests and on random graphs."""
+    real = matchturan.solver._top_class
+    seen = Counter()
+
+    def checked(child, u, v):
+        out = real(child, u, v)
+        assert out == _colour_pair_top_class(child, u, v), (child, u, v)
+        seen[out is None] += 1
+        return out
+
+    monkeypatch.setattr(matchturan.solver, "_top_class", checked)
+    assert sum(1 for _ in enumerate_free(7, GraphFamily())) == 1044
+    assert seen[True] > 1000 and seen[False] > 1000
+    rng = random.Random(27)
+    for _ in range(300):
+        n = rng.randint(2, 16)
+        p = rng.random()
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        for u, v in edges:
+            g = Graph(n, edges)
+            assert real(g, u, v) == _colour_pair_top_class(g, u, v), (g, u, v)
 
 
 def test_enum_pair_call_counts(monkeypatch):

@@ -44,10 +44,14 @@ rounds in which the change was faster.  Each interpreter also records a
 sha256 of each graph's canonical forms (rows and permutation of both
 relabellings), and the ledger states whether the two trees agree.
 
+It counts the lines of each `src/matchturan/*.py` in both trees, as `wc
+-l` does, so that the tracked size of `src/` comes from the ledger.
+
 The JSON it writes holds both commits, the machine, every run's metrics
 and `correct` flag, per workload and side the median and quartiles of each
 end-to-end metric, the number of pairs the change won, the import
-times, the CLI runs, the per-call times and the canonical-form digests.
+times, the CLI runs, the per-call times, the canonical-form digests and
+the source line counts.
 """
 
 from __future__ import annotations
@@ -148,6 +152,16 @@ def export(rev: str, dest: Path) -> None:
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         tar.extractall(dest)
+
+
+def src_lines(tree: Path) -> dict:
+    """Newlines per module of src/matchturan, as wc -l counts them, and their
+    total."""
+    counts = {
+        path.name: path.read_bytes().count(b"\n")
+        for path in sorted((tree / "src" / "matchturan").glob("*.py"))
+    }
+    return {**counts, "total": sum(counts.values())}
 
 
 def import_ms(tree: Path, statement: str) -> float:
@@ -342,6 +356,7 @@ def main() -> int:
         for side, rev in (("parent", args.parent), ("change", "HEAD")):
             trees[side].mkdir(parents=True)
             export(rev, trees[side])
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
         imports = import_times(trees)
         cli = cli_times(trees, work)
         runs: dict = {w: {"parent": [], "change": []} for w in WORKLOADS}
@@ -408,6 +423,10 @@ def main() -> int:
                     "faster; canonical_sha256: sha256 of the canonical rows and "
                     "permutation of both relabellings",
             **calls,
+        },
+        "src_lines": {
+            "note": "lines per module of src/matchturan, as wc -l counts them",
+            **lines,
         },
         "canonical_forms": {
             "corpus": "domain-64, seed 1",
