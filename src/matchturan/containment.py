@@ -65,12 +65,6 @@ def _extend(
     return False
 
 
-def _find_embedding(host: Graph, pattern: Graph) -> bool:
-    return pattern.n <= host.n and _extend(
-        host.adj, _pattern_order(pattern), 0, [0] * pattern.n, host.vertex_mask()
-    )
-
-
 @lru_cache(maxsize=256)
 def _plan(pattern: Graph) -> Plan:
     """The searches through a host edge uv, one per Aut(pattern)-orbit of
@@ -110,7 +104,9 @@ def _through_edge(host: Graph, plan: Plan, u: int, v: int) -> bool:
 def contains_subgraph(host: Graph, pattern: Graph) -> bool:
     """True iff pattern embeds into host as a (not necessarily induced)
     subgraph."""
-    return _find_embedding(host, pattern)
+    return pattern.n <= host.n and _extend(
+        host.adj, _pattern_order(pattern), 0, [0] * pattern.n, host.vertex_mask()
+    )
 
 
 def contains_subgraph_using_edge(host: Graph, pattern: Graph, u: int, v: int) -> bool:
@@ -119,7 +115,7 @@ def contains_subgraph_using_edge(host: Graph, pattern: Graph, u: int, v: int) ->
     return (
         host.has_edge(u, v)
         and _through_edge(host, _plan(pattern), u, v)
-        and not _find_embedding(remove_edge(host, u, v), pattern)
+        and not contains_subgraph(remove_edge(host, u, v), pattern)
     )
 
 

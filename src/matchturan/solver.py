@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .containment import GraphFamily, Plan, _plan, _through_edge, minimalize
 from .graphs import (
@@ -39,11 +39,11 @@ from .graphs import (
     _raw,
     _root_cells,
     canonical_form,
+    induced,
     to_graph6,
 )
 from .invariants import count_cliques
-# HARD_CEILING is not used here, but solver.HARD_CEILING stays importable
-from .limits import HARD_CEILING, validate_ceiling, validate_workers  # noqa: F401
+from .limits import validate_ceiling, validate_workers
 
 ENV_CEILING = "MATCHTURAN_CEILING"
 # parents per worker a level needs before it forks a pool.  The widest levels
@@ -340,6 +340,37 @@ class ExResult(NamedTuple):
         return json.dumps(self.to_payload(), sort_keys=True).encode()
 
 
+def _extremal(
+    n: int, r: int, family: GraphFamily, depth: int,
+    classes: Iterable[tuple[Graph, int, int]], t0: float,
+) -> ExResult:
+    """ex(n, K_r, family) from the family-free classes on depth >= n
+    vertices, given as (class, isolated-vertex count, K_r count).  When r >= 2
+    and no minimal member has an isolated vertex, G -> G + (depth - n)K1 maps
+    the classes on n vertices one to one onto those with at least depth - n
+    isolated vertices and keeps N_r: those are scored, and a witness is a
+    tying class less depth - n isolated vertices, in canonical form."""
+    pad = depth - n
+    best, tying, count = None, [], 0
+    for g, k, c in classes:  # one pass: ex_general's classes are not kept
+        if k >= pad:
+            count += 1
+            if best is None or c > best:
+                best, tying = c, []
+            if c == best:
+                tying.append(g)
+    if pad:
+        tying = [canonical_form(_less_isolated(g, pad)).graph for g in tying]
+    witnesses = tuple(sorted(map(to_graph6, tying)))
+    return ExResult(n, r, family.label, best, witnesses, count, time.perf_counter() - t0)
+
+
+def _less_isolated(g: Graph, k: int) -> Graph:
+    """g less k of its isolated vertices."""
+    isolated = [v for v, row in enumerate(g.adj) if not row]
+    return induced(g, set(range(g.n)).difference(isolated[:k]))
+
+
 def ex_general(
     n: int,
     r: int,
@@ -355,26 +386,9 @@ def ex_general(
     if r < 1:
         raise ValueError(f"clique order must be >= 1, got {r}")
     t0 = time.perf_counter()
-    best: int | None = None
-    tying: list[Graph] = []
-    count = 0
-    for g in enumerate_free(n, family, ceiling=ceiling, workers=workers):
-        count += 1
-        c = count_cliques(g, r)
-        if best is None or c > best:
-            best = c
-            tying = [g]
-        elif c == best:
-            tying.append(g)
-    return ExResult(
-        n=n,
-        r=r,
-        family_label=family.label,
-        value=best,
-        witnesses=tuple(sorted(map(to_graph6, tying))),
-        enumerated_count=count,
-        elapsed=time.perf_counter() - t0,
-    )
+    classes = enumerate_free(n, family, ceiling=ceiling, workers=workers)
+    scored = ((g, g.adj.count(0), count_cliques(g, r)) for g in classes)
+    return _extremal(n, r, family, n, scored, t0)
 
 
 class ExProfile(NamedTuple):

@@ -1,13 +1,14 @@
 """Replay of each closed-form theorem at desk scale.
 
-Every operation compares a brute-force side (solver enumeration only)
-against a formula side (constructions / covering modules only) point by
-point, so agreement is evidence rather than tautology.  `_brute` is the one
-brute side of the `erdos-gallai`, `ma-hou`, `main`, `gerbner` and `forest`
-points: within a run it enumerates each family once, at the grid's largest
-n, and scores every (n, r) point from that table.  Hypothesis gates
-(minimum independent-cover size, profile argmax, color-criticality,
-balanced-forest shape) are computed, never assumed.
+Every operation compares a brute-force side against a formula side point
+by point, so agreement is evidence rather than tautology.  The brute side is
+`_brute` for the five matching-bound theorems and ex_general on a cover
+family for `color-critical` and `pentagon`; both score by solver._extremal.
+The formula side evaluates closed forms on constructions and cover
+families; the `main` and `forest` gates take its extremal terms, on at most
+s vertices, from ex_profile and ex_general.  Hypothesis gates (minimum
+independent-cover size, profile argmax, color-criticality, balanced-forest
+shape) are computed, never assumed.
 
 Asymptotic statements get a small-n policy: if every point from some n0
 onward passes, earlier failing points are verdicted "small-n-exception"
@@ -35,7 +36,6 @@ from .graphs import (
     cycle,
     disjoint_union,
     empty,
-    induced,
     matching,
     to_graph6,
     turan_graph,
@@ -47,7 +47,9 @@ from .invariants import (
     matching_number,
     tutte_berge_certificate,
 )
-from .solver import CeilingError, ExResult, enumerate_free, ex_general, ex_profile, resolve_ceiling
+from .solver import (
+    CeilingError, ExResult, _extremal, enumerate_free, ex_general, ex_profile, resolve_ceiling
+)
 
 CSV_COLUMNS = (
     "theorem",
@@ -246,23 +248,18 @@ def _run(
 
 
 def _brute(ctx: SimpleNamespace, n: int, r: int, family: GraphFamily) -> ExResult:
-    """ex(n, K_r, family): the brute side of a point, from the run's table.
-
-    When no minimal member has an isolated vertex, G -> G + (N - n)K1 maps
-    the family-free classes on n vertices one to one onto the family-free
-    classes on N vertices with at least N - n isolated vertices, and keeps
-    N_r for r >= 2.  So each minimalized family is enumerated once per run,
-    at N = the run's largest n (capped by the family's ceiling), each class
-    kept with its isolated-vertex count and its K_r counts per r, and every
-    n <= N is scored from that table; a witness is the canonical form of a
-    tying class less N - n isolated vertices.  r < 2, and a family with an
-    isolated vertex in some minimal member, go to ex_general."""
+    """ex(n, K_r, family): the brute side of a point, scored by
+    solver._extremal from the run's table.  Each minimalized family is
+    enumerated once per depth: the run's largest n, capped by the family's
+    ceiling, or n itself when r < 2 or a minimal member has an isolated
+    vertex, where the padding lemma does not hold."""
+    t0 = time.perf_counter()
     reduced = minimalize(family)
     if r < 2 or any(0 in m.adj for m in reduced):
-        return ex_general(n, r, family, **ctx.opts)
-    t0 = time.perf_counter()
-    # past the ceiling the depth is n, so enumerate_free refuses this point
-    depth = max(n, min(ctx.horizon, resolve_ceiling(family, ctx.opts["ceiling"])))
+        depth = n
+    else:
+        # past the ceiling the depth is n, so enumerate_free refuses this point
+        depth = max(n, min(ctx.horizon, resolve_ceiling(family, ctx.opts["ceiling"])))
     key = (reduced.members, depth)
     if key not in ctx.tables:
         classes = list(enumerate_free(depth, family, **ctx.opts))
@@ -270,21 +267,7 @@ def _brute(ctx: SimpleNamespace, n: int, r: int, family: GraphFamily) -> ExResul
     classes, isolated, counts = ctx.tables[key]
     if r not in counts:
         counts[r] = [count_cliques(g, r) for g in classes]
-    pad = depth - n
-    scored = [(c, g) for g, k, c in zip(classes, isolated, counts[r]) if k >= pad]
-    best = max((c for c, _ in scored), default=None)
-    witnesses = sorted(
-        to_graph6(canonical_form(_less_isolated(g, pad)).graph) for c, g in scored if c == best
-    )
-    return ExResult(
-        n, r, family.label, best, tuple(witnesses), len(scored), time.perf_counter() - t0
-    )
-
-
-def _less_isolated(g: Graph, k: int) -> Graph:
-    """g less k of its isolated vertices."""
-    isolated = [v for v, row in enumerate(g.adj) if not row]
-    return induced(g, set(range(g.n)).difference(isolated[:k]))
+    return _extremal(n, r, family, depth, zip(classes, isolated, counts[r]), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +554,12 @@ def verify_tutte_berge(
     return _run("tutte-berge", rows, ceiling=ceiling, workers=workers)
 
 
+def _tutte_berge_expand(n: list[int]) -> tuple[int]:
+    if len(n) > 1 and n[0] != 1:  # the sweep always starts at n = 1
+        raise ValueError(f"tutte-berge sweeps n = 1..N, not the range {n[0]}..{n[-1]}")
+    return (n[-1],)
+
+
 # ---------------------------------------------------------------------------
 # color-critical component identities
 # ---------------------------------------------------------------------------
@@ -701,7 +690,7 @@ THEOREMS = {
         Theorem(
             "tutte-berge", "tutte-berge", "verify_tutte_berge", ("n",), _tutte_berge_point,
             flags=(("--n", "n", RANGE),),
-            expand=lambda n: (max(n),),
+            expand=_tutte_berge_expand,
         ),
         Theorem(
             "color-critical", "color-critical-components",

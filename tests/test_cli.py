@@ -166,6 +166,17 @@ def test_cmd_verify_tutte_berge(capsys):
     assert main(["verify", "tutte-berge", "--n", "1..4"]) == 0
 
 
+def test_cmd_verify_tutte_berge_refuses_a_range_not_from_one(tmp_path, capsys):
+    # the sweep always covers n = 1..N, so 4..5 would silently run 1..5
+    assert main(["verify", "tutte-berge", "--n", "4..5", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: tutte-berge sweeps n = 1..N, not the range 4..5\n"
+    )
+    assert not any(tmp_path.iterdir())
+    assert main(["verify", "tutte-berge", "--n", "3"]) == 0
+    assert "points\": 3" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

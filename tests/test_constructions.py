@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from graph_builders import graph_from_pair_mask, is_family_free
+from matchturan import constructions
 from matchturan.constructions import (
     ConstructionSpec,
     assemble_gns,
@@ -15,6 +16,8 @@ from matchturan.constructions import (
 from matchturan.containment import GraphFamily
 from matchturan.covering import family_fp
 from matchturan.graphs import (
+    MAX_VERTICES,
+    GraphCapacityError,
     canonical_form,
     complete,
     complete_bipartite,
@@ -96,6 +99,22 @@ def test_build_gns_errors():
         build_g_n_s(5, 2, GraphFamily([graph_from_pair_mask(1, 0)]), "widget")
 
 
+def test_build_gns_refuses_past_capacity_before_enumerating(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("enumerate_free called")
+
+    monkeypatch.setattr(constructions, "enumerate_free", never)
+    with pytest.raises(GraphCapacityError, match=f"{MAX_VERTICES + 1} vertices"):
+        build_g_n_s(MAX_VERTICES + 1, 2, GraphFamily())
+
+
+def test_assemble_gns_refusals():
+    with pytest.raises(ValueError, match="filling has 3 vertices, expected 2"):
+        assemble_gns(6, 2, complete(3))
+    with pytest.raises(ValueError, match="need 0 <= s <= n, got s=3, n=2"):
+        assemble_gns(2, 3, complete(3))
+
+
 def test_assemble_gns_layout():
     g = assemble_gns(6, 2, complete(2))
     assert g.has_edge(0, 1)
@@ -170,3 +189,7 @@ def test_construction_spec_validation():
         realize(ConstructionSpec(kind="forest_extremal", n=3, p=2, t=1))
     with pytest.raises(ValueError):
         ConstructionSpec(kind="widget").validate()
+    with pytest.raises(ValueError, match="gns needs n, s"):
+        ConstructionSpec(kind="gns", n=5).validate()
+    with pytest.raises(ValueError, match="clique needs s >= 0"):
+        ConstructionSpec(kind="clique", s=-1).validate()

@@ -131,13 +131,13 @@ def test_using_edge_exhaustive_small_hosts(monkeypatch):
     # oracle built from the labelled copies of each pattern; a non-edge is
     # answered without any search
     searches = []
-    search = matchturan.containment._find_embedding
+    search = matchturan.containment.contains_subgraph
 
     def counted(host, pattern):
         searches.append(1)
         return search(host, pattern)
 
-    monkeypatch.setattr(matchturan.containment, "_find_embedding", counted)
+    monkeypatch.setattr(matchturan.containment, "contains_subgraph", counted)
     patterns = [
         complete(2), path(3), complete(3), cycle(4), matching(2), complete_bipartite(1, 3)
     ]

@@ -139,7 +139,7 @@ def test_enumerator_makes_no_unanchored_search(monkeypatch):
     def no_search(host, pattern):
         raise AssertionError("the enumerator ran an unanchored search")
 
-    monkeypatch.setattr(matchturan.containment, "_find_embedding", no_search)
+    monkeypatch.setattr(matchturan.containment, "contains_subgraph", no_search)
     for family, stream in zip(families, expected):
         assert [g.adj for g in enumerate_free(7, family)] == stream
 
@@ -291,6 +291,15 @@ def test_ex_value_none_when_nothing_is_free():
 
 def test_ex_r_one_counts_vertices():
     assert ex_general(4, 1, GraphFamily([complete(2)])).value == 4
+
+
+def test_ex_refuses_r_below_one_before_enumerating(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("enumerate_free called")
+
+    monkeypatch.setattr(matchturan.solver, "enumerate_free", never)
+    with pytest.raises(ValueError, match="clique order must be >= 1, got 0"):
+        ex_general(3, 0, GraphFamily())
 
 
 def test_parallel_matches_sequential():

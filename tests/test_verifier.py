@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from matchturan import verifier
 from matchturan.graphs import (
     Graph,
     complete,
@@ -146,6 +147,37 @@ def test_forest_theorem_gates():
     assert report.summary["status"] == "hypothesis-unmet"  # unbalanced tree
     report = verify_forest_theorem(path(6), 2, [6], f_name="P6")
     assert report.summary["status"] == "hypothesis-unmet"  # p > s
+
+
+def test_forest_filling_remark_failure_fails_the_report(monkeypatch):
+    # a filling value off the perfect-matching identity fails the report by
+    # itself: with no points to fail, only the gate's status says so
+    original = verifier.ex_general
+
+    def off_by_one(*args, **kwargs):
+        result = original(*args, **kwargs)
+        return result._replace(value=result.value + 1)
+
+    monkeypatch.setattr(verifier, "ex_general", off_by_one)
+    report = verify_forest_theorem(matching(2), 2, [], f_name="M2")
+    assert report.summary["filling_value"] == 1 != report.summary["filling_expected"]
+    assert report.summary["remark_verdict"] == "fail"
+    assert report.summary["status"] == "fail" and report.summary["failed"] == 0
+
+
+def test_main_point_notes_a_construction_gap(monkeypatch):
+    original = verifier.build_g_n_s
+
+    def short(*args, **kwargs):
+        build = original(*args, **kwargs)
+        return build._replace(value=build.value - 1)
+
+    monkeypatch.setattr(verifier, "build_g_n_s", short)
+    report = verify_main_theorem_exact(complete(3), 2, 2, [6], f_name="K3")
+    point = report.points[0]
+    assert point["construction_gap"] and point["construction_value"] == 7
+    assert point["notes"] == "no single filling attains both profile maxima"
+    assert point["verdict"] == "pass"  # the brute side still meets the formula
 
 
 def _balanced_forest_shape_oracle(f: Graph) -> tuple[bool, int]:
