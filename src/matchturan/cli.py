@@ -83,7 +83,7 @@ def _split_top_level(expr: str) -> list[str]:
     return [p.strip() for p in parts]
 
 
-def parse_family(expr: str, label: str | None = None) -> GraphFamily:
+def parse_family(expr: str) -> GraphFamily:
     """Comma-separated graph tokens; fp(<graph>,<p>) splices in the cover
     family of a graph."""
     members: list[Graph] = []
@@ -97,7 +97,7 @@ def parse_family(expr: str, label: str | None = None) -> GraphFamily:
             members.extend(family_fp(parse_graph(m.group(1)), int(m.group(2))))
         else:
             members.append(parse_graph(tok))
-    return GraphFamily(members, label=label if label is not None else expr)
+    return GraphFamily(members, label=expr)
 
 
 def parse_range(text: str) -> list[int]:
@@ -223,6 +223,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         value = getattr(args, dest)
         if kind == verifier.RANGE:
             value = parse_range(value)
+        elif kind == verifier.SWEEP:
+            n = parse_range(value)
+            if ".." in value and n[0] != 1:
+                raise ValueError(f"{args.theorem} sweeps {dest} = 1..N, not the range {value}")
+            value = n[-1]
         elif kind == verifier.GRAPH:
             kwargs["f_name"] = value
             value = parse_graph(value)
@@ -340,9 +345,10 @@ def _fill_construct(p: argparse.ArgumentParser) -> None:
 
 
 def _fill_verify(p: argparse.ArgumentParser) -> None:
-    from .verifier import GRAPH, INT, RANGE, THEOREMS
+    from .verifier import GRAPH, INT, RANGE, SWEEP, THEOREMS
 
-    flag_help = {RANGE: "range, e.g. 5..9", INT: None, GRAPH: "graph token, e.g. K4"}
+    range_help = "range, e.g. 5..9"
+    flag_help = {RANGE: range_help, SWEEP: range_help, INT: None, GRAPH: "graph token, e.g. K4"}
     ver_sub = p.add_subparsers(dest="theorem", required=True)
     for theorem in THEOREMS.values():
         v = ver_sub.add_parser(theorem.command, help=theorem.help)

@@ -4,9 +4,11 @@ Every operation compares a brute-force side against a formula side point
 by point, so agreement is evidence rather than tautology.  The brute side is
 `_brute` for the five matching-bound theorems and ex_general on a cover
 family for `color-critical` and `pentagon`; both score by solver._extremal.
-The formula side evaluates closed forms on constructions and cover
-families; the `main` and `forest` gates take its extremal terms, on at most
-s vertices, from ex_profile and ex_general.  Hypothesis gates (minimum
+The formula side evaluates closed forms: `erdos-gallai` and `ma-hou` only
+count cliques in their constructions, whose best filling is a Turán graph.
+It still enumerates for `main`'s per-point construction, the `main` and
+`forest` gates' extremal terms on at most s vertices (ex_profile and
+ex_general) and `forest`'s predicted witness set.  Hypothesis gates (minimum
 independent-cover size, profile argmax, color-criticality, balanced-forest
 shape) are computed, never assumed.
 
@@ -185,9 +187,10 @@ def _finite(x: int | float) -> int | str:
 # the theorem table and its runner
 # ---------------------------------------------------------------------------
 
-# kinds of `verify` flag: an inclusive range "a..b" (or one integer), an
-# integer, or a graph token (whose text also names F in the report)
-RANGE, INT, GRAPH = "range", "int", "graph"
+# kinds of `verify` flag: an inclusive range "a..b" (or one integer), the
+# upper end N of a sweep from 1 (written N or 1..N), an integer, or a graph
+# token (whose text also names F in the report)
+RANGE, SWEEP, INT, GRAPH = "range", "sweep", "int", "graph"
 F_FLAG = ("--F", "forbidden", GRAPH)
 
 
@@ -278,16 +281,11 @@ def _brute(ctx: SimpleNamespace, n: int, r: int, family: GraphFamily) -> ExResul
 def _erdos_gallai_point(ctx: SimpleNamespace, point: dict, n: int, s: int) -> None:
     if n < 2 * s + 1:
         raise ValueError(f"need n >= 2s+1, got n={n}, s={s}")
-    fam = GraphFamily([matching(s + 1)])
-    brute = _brute(ctx, n, 2, fam)
-    clique = complete(2 * s + 1)
-    split = build_g_n_s(n, s, GraphFamily([complete(s + 1)]), "edges", **ctx.opts)
+    brute = _brute(ctx, n, 2, GraphFamily([matching(s + 1)]))
+    # e(K_{2s+1}), and e(K_s) plus the s(n - s) edges joining it to the rest
+    clique, split = s * (2 * s + 1), s * (s - 1) // 2 + s * (n - s)
     _compare(
-        point,
-        brute,
-        max(clique.edge_count(), split.value),
-        clique_candidate_value=clique.edge_count(),
-        split_candidate_value=split.value,
+        point, brute, max(clique, split), clique_candidate_value=clique, split_candidate_value=split
     )
 
 
@@ -313,17 +311,18 @@ def _ma_hou_point(ctx: SimpleNamespace, point: dict, n: int, s: int, r: int, k: 
     brute = _brute(ctx, n, r, fam)
     clique_cand = turan_graph(2 * s + 1, min(k, 2 * s + 1))
     clique_val = count_cliques(clique_cand, r)
-    split = build_g_n_s(n, s, GraphFamily([complete(k)]), "kr_count", r, **ctx.opts)
+    filling = turan_graph(s, min(k - 1, s))  # most K_t of any K_k-free graph, every t (Zykov 1949)
+    split = count_cliques(filling, r - 1) * (n - s) + count_cliques(filling, r)
     note = ""
     if k < 2 * s + 1:
         note = f"odd clique K_{2 * s + 1} contains K_{k + 1}; clique candidate is T_{k}({2 * s + 1})"
     _compare(
         point,
         brute,
-        max(clique_val, split.value),
+        max(clique_val, split),
         clique_candidate=to_graph6(canonical_form(clique_cand).graph),
         clique_candidate_value=clique_val,
-        split_candidate_value=split.value,
+        split_candidate_value=split,
     )
     point["notes"] = note
 
@@ -554,12 +553,6 @@ def verify_tutte_berge(
     return _run("tutte-berge", rows, ceiling=ceiling, workers=workers)
 
 
-def _tutte_berge_expand(n: list[int]) -> tuple[int]:
-    if len(n) > 1 and n[0] != 1:  # the sweep always starts at n = 1
-        raise ValueError(f"tutte-berge sweeps n = 1..N, not the range {n[0]}..{n[-1]}")
-    return (n[-1],)
-
-
 # ---------------------------------------------------------------------------
 # color-critical component identities
 # ---------------------------------------------------------------------------
@@ -689,8 +682,7 @@ THEOREMS = {
         ),
         Theorem(
             "tutte-berge", "tutte-berge", "verify_tutte_berge", ("n",), _tutte_berge_point,
-            flags=(("--n", "n", RANGE),),
-            expand=_tutte_berge_expand,
+            flags=(("--n", "n", SWEEP),),
         ),
         Theorem(
             "color-critical", "color-critical-components",

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from matchturan import solver, verifier
+from matchturan import constructions, solver, verifier
 from matchturan.cli import main
 from matchturan.containment import GraphFamily, minimalize
 from matchturan.covering import family_fp
@@ -87,6 +87,23 @@ def test_ma_hou_grid_enumerates_each_family_once(monkeypatch, capsys):
     families = [fam for _, fam in calls]
     assert len(families) == len(set(families)) == 4
     assert {n for n, _ in calls} == {8}
+
+
+def test_ma_hou_formula_side_enumerates_nothing(monkeypatch, capsys):
+    # every enumerate_free binding: the formula side reaches none of them
+    calls = []
+    original = solver.enumerate_free
+
+    def spy(n, family, **kwargs):
+        calls.append((n, family))
+        return original(n, family, **kwargs)
+
+    for module in (solver, constructions, verifier):
+        monkeypatch.setattr(module, "enumerate_free", spy)
+    argv = ["verify", "ma-hou", "--n", "3..8", "--s", "1..2", "--r", "2..3", "--k", "2..3"]
+    assert main(argv) == 0
+    brute_side = {GraphFamily([matching(s + 1), complete(k + 1)]) for s in (1, 2) for k in (2, 3)}
+    assert len(calls) == 4 and {fam for _, fam in calls} == brute_side
 
 
 def test_run_past_the_ceiling_is_refused_at_the_same_point(capsys):

@@ -177,6 +177,17 @@ def test_cmd_verify_tutte_berge_refuses_a_range_not_from_one(tmp_path, capsys):
     assert "points\": 3" in capsys.readouterr().out
 
 
+def test_cmd_verify_tutte_berge_refuses_a_one_point_range_not_at_one(tmp_path, capsys):
+    # parse_range reads "4..4" as [4], like "4"; the written range still refuses
+    assert main(["verify", "tutte-berge", "--n", "4..4", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: tutte-berge sweeps n = 1..N, not the range 4..4\n"
+    )
+    assert not any(tmp_path.iterdir())
+    assert main(["verify", "tutte-berge", "--n", "1..1"]) == 0
+    assert "points\": 1" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -79,6 +79,22 @@ def test_constructor_errors():
         complete(-1)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Graph(-1), ValueError, "^negative vertex count -1$"),
+    (lambda: complete(65), GraphCapacityError, "^K_65 exceeds capacity$"),
+    (lambda: disjoint_union(complete(40), empty(25)), GraphCapacityError,
+     "^union on 65 vertices exceeds capacity$"),
+    (lambda: induced(path(3), [0, 3]), ValueError, "^vertex 3 out of range for n=3$"),
+    (lambda: remove_edge(path(3), 0, 3), ValueError, r"^edge \(0,3\) out of range for n=3$"),
+    (lambda: from_graph6("~??"), Graph6Error, "^truncated vertex count"),
+    (lambda: from_graph6("~~???"), Graph6Error, "beyond 258047 vertices unsupported$"),
+], ids=["Graph(-1)", "complete(65)", "union", "induced", "remove_edge",
+        "graph6-truncated-header", "graph6-past-258047"])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_turan_graph():
     assert (
         canonical_form(turan_graph(5, 2)).key()

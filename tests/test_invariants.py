@@ -99,6 +99,11 @@ def test_chromatic_number_petersen(petersen):
     assert chromatic_number(petersen) == 3
 
 
+@pytest.mark.parametrize("g, omega", [(empty(0), 0), (empty(1), 1)], ids=["null", "K1"])
+def test_clique_number_base_cases(g, omega):
+    assert clique_number(g) == omega
+
+
 def test_chromatic_at_least_clique_number():
     rng = random.Random(13)
     for _ in range(60):

@@ -1,8 +1,10 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from matchturan import verifier
+from matchturan.constructions import build_g_n_s
 from matchturan.graphs import (
     Graph,
     complete,
@@ -57,6 +59,36 @@ def test_ma_hou_points_including_inadmissible_odd_clique():
     assert "contains K_4" in by_key[(5, 2, 3, 3)]["notes"]
     assert by_key[(8, 2, 3, 3)]["brute"] == 6
     assert by_key[(3, 1, 2, 2)]["brute"] == 2
+
+
+def test_closed_form_sides_enumerate_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_g_n_s called")
+
+    monkeypatch.setattr(verifier, "build_g_n_s", refuse)
+    assert verify_erdos_gallai([(5, 1), (9, 1), (5, 2), (7, 2)]).passed
+    assert verify_ma_hou([(5, 2, 3, 3), (6, 2, 2, 2), (3, 1, 2, 2), (8, 2, 3, 4)]).passed
+
+
+def test_closed_forms_equal_the_best_filling(monkeypatch):
+    # the split construction's value over every filling, against the closed
+    # forms the two points state; the brute side is stubbed out
+    monkeypatch.setattr(
+        verifier, "_brute", lambda ctx, n, r, fam: SimpleNamespace(value=0, witnesses=())
+    )
+    pairs = [(n, s) for s in range(5) for n in range(2 * s + 1, 2 * s + 4)]
+    for p in verify_erdos_gallai(pairs).points:
+        n, s = p["n"], p["s"]
+        assert p["clique_candidate_value"] == complete(2 * s + 1).edge_count()
+        best = build_g_n_s(n, s, GraphFamily([complete(s + 1)]), "edges").value
+        assert p["split_candidate_value"] == best, (n, s)
+    quads = [(n, s, r, k) for n, s in pairs for k in range(2, 7) for r in range(2, k + 1)]
+    points = verify_ma_hou(quads).points
+    assert len(points) == 225
+    for p in points:
+        n, s, r, k = p["n"], p["s"], p["r"], p["k"]
+        best = build_g_n_s(n, s, GraphFamily([complete(k)]), "kr_count", r).value
+        assert p["split_candidate_value"] == best, (n, s, r, k)
 
 
 def test_ma_hou_rejects_bad_params():

@@ -29,9 +29,9 @@ It times the fixed CLI runs of CLI_RUNS (`verify erdos-gallai --n 5..9
 6..9`), each at every worker count of CLI_WORKERS, as whole fresh
 interpreters writing their reports, CLI_ROUNDS rounds per run, the trees
 alternating and swapping which goes first every round.  Per run it keeps
-each tree's median, the rounds in which the change was faster, and whether
-the two trees' report `payload` sections were byte-identical in every
-round.
+each tree's median and quartiles, the rounds in which the change was
+faster, and whether the two trees' report `payload` sections were
+byte-identical in every round.
 
 It also times `graphs.canonical_form` and `invariants.matching_number`
 call by call on the domain-64 corpus at seed 1, each call on a fresh graph
@@ -96,7 +96,7 @@ CLI_RUNS = {
     "verify main K4": ["verify", "main", "--F", "K4", "--s", "2", "--r", "3", "--n", "6..9"],
 }
 CLI_WORKERS = [1, 2]
-CLI_ROUNDS = 5  # fresh interpreters per tree, run and worker count
+CLI_ROUNDS = 10  # fresh interpreters per tree, run and worker count, as PAIRS
 
 # runs inside each tree's interpreter: reads "<op> <graph index> <a|b>" lines
 # and answers each with one JSON line, the call's time in us (null: still
@@ -210,9 +210,9 @@ def cli_run(tree: Path, argv: list, out: Path) -> tuple[float, str]:
 
 
 def cli_times(trees: dict, work: Path) -> dict:
-    """Per run and worker count: each tree's times and their median, the
-    rounds in which the change was faster, and whether the payloads agreed
-    in every round."""
+    """Per run and worker count: each tree's times, their median and
+    quartiles, the rounds in which the change was faster, and whether the
+    payloads agreed in every round."""
     out = {}
     for row, argv in CLI_RUNS.items():
         for workers in CLI_WORKERS:
@@ -229,7 +229,13 @@ def cli_times(trees: dict, work: Path) -> dict:
                 identical &= got["change"][1] == got["parent"][1]
             out[f"{row} --workers {workers}"] = {
                 "argv": command,
-                **{f"{side}_median_s": statistics.median(times[side]) for side in trees},
+                **{
+                    f"{side}_{name}_s": round(value, 5)
+                    for side in trees
+                    for name, value in zip(
+                        ("q1", "median", "q3"), statistics.quantiles(times[side], n=4)
+                    )
+                },
                 "change_faster": won,
                 "payload_identical": identical,
                 "rounds_s": times,
@@ -399,7 +405,8 @@ def main() -> int:
         "cli_runs": {
             "note": f"wall time of the whole CLI process (interpreter start-up "
                     f"included) in a fresh interpreter, {CLI_ROUNDS} rounds per tree, the "
-                    "trees alternating; change_faster: the rounds in which the change "
+                    "trees alternating; q1, median, q3: each tree's quartiles over its "
+                    "rounds; change_faster: the rounds in which the change "
                     "was faster; payload_identical: the two trees' report payload "
                     "sections were byte-identical in every round",
             **cli,
