@@ -3,8 +3,9 @@ part fully joined to an independent part, with an optimal forbidden-family-
 free filling), odd cliques, and forest-theorem composites.
 
 Fillings are found exhaustively by the solver, so at desk scale the returned
-objective values are true maxima, and every tying filling is reported (the
-verifier compares brute-force witness sets against all of them).
+objective values are true maxima, and every tying filling is reported.
+`build_forest_extremal` takes its filling; `realize` finds it with
+`build_g_n_s`, as the verifier's `forest` gate does once per run.
 """
 
 from __future__ import annotations
@@ -47,9 +48,6 @@ class GnsBuild(NamedTuple):
     filling: Graph
     fillings: tuple[Graph, ...]
     value: int
-
-    def witness_graphs(self) -> list[Graph]:
-        return [assemble_gns(self.n, self.s, q) for q in self.fillings]
 
 
 def build_g_n_s(
@@ -108,17 +106,9 @@ def build_clique_candidate(s: int) -> Graph:
     return complete(2 * s + 1)
 
 
-def build_forest_extremal(
-    n: int,
-    p: int,
-    t: int,
-    family: GraphFamily,
-    *,
-    ceiling: int | None = None,
-    workers: int = 1,
-) -> Graph:
+def build_forest_extremal(n: int, p: int, t: int, filling: Graph) -> Graph:
     """Disjoint union of the split construction on n - t(2p-1) vertices with
-    part size p-1 and t copies of K_{2p-1}."""
+    part size p-1, filled with `filling`, and t copies of K_{2p-1}."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     rest = n - t * (2 * p - 1)
@@ -126,7 +116,9 @@ def build_forest_extremal(
         raise ValueError(
             f"n={n} too small for p={p}, t={t}: needs at least {p - 1 + t * (2 * p - 1)}"
         )
-    g = build_g_n_s(rest, p - 1, family, "edges", ceiling=ceiling, workers=workers).graph
+    if rest > MAX_VERTICES:
+        raise GraphCapacityError(f"{rest} vertices exceeds capacity")
+    g = assemble_gns(rest, p - 1, filling)
     for _ in range(t):
         g = disjoint_union(g, complete(2 * p - 1))
     return g
@@ -194,7 +186,8 @@ def realize(
     if spec.kind == "clique":
         g = build_clique_candidate(spec.s)
     elif spec.kind == "forest_extremal":
-        g = build_forest_extremal(spec.n, spec.p, spec.t, spec.family(), **opts)
+        filling = build_g_n_s(spec.p - 1, spec.p - 1, spec.family(), **opts).filling
+        g = build_forest_extremal(spec.n, spec.p, spec.t, filling)
     else:  # "turan", the one kind validate() leaves
         g = turan_graph(spec.p, spec.parts)
     return g, {"edges": g.edge_count()}

@@ -6,11 +6,10 @@ by point, so agreement is evidence rather than tautology.  The brute side is
 family for `color-critical` and `pentagon`; both score by solver._extremal.
 The formula side evaluates closed forms: `erdos-gallai` and `ma-hou` only
 count cliques in their constructions, whose best filling is a Turán graph.
-It still enumerates for `main`'s per-point construction, the `main` and
-`forest` gates' extremal terms on at most s vertices (ex_profile and
-ex_general) and `forest`'s predicted witness set.  Hypothesis gates (minimum
-independent-cover size, profile argmax, color-criticality, balanced-forest
-shape) are computed, never assumed.
+`main` and `forest` enumerate only in their gates: `main`'s ex_profile, and
+one table of fillings each, from which every point's construction is built.
+Hypothesis gates (minimum independent-cover size, profile argmax,
+color-criticality, balanced-forest shape) are computed, never assumed.
 
 Asymptotic statements get a small-n policy: if every point from some n0
 onward passes, earlier failing points are verdicted "small-n-exception"
@@ -28,7 +27,7 @@ import time
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-from .constructions import build_forest_extremal, build_g_n_s
+from .constructions import assemble_gns, build_forest_extremal, build_g_n_s
 from .containment import GraphFamily, minimalize
 from .covering import covering_report, family_fp, is_color_critical, p_of_f
 from .graphs import (
@@ -359,10 +358,12 @@ def _main_gate(ctx: SimpleNamespace) -> tuple[str | None, dict]:
     }
     if not (pf >= ctx.s + 1 and profile.t == ctx.s):
         return HYPOTHESIS_UNMET, {"gate": gate}
-    ctx.fam = family_fp(ctx.f, ctx.s)
-    # the profile's last point is p = s, so it already holds ex(s, K_{r-1}, fam)
+    # each filling q on s vertices is a line N_{r-1}(q)(n - s) + N_r(q); the
+    # profile's last point is p = s, so it already holds ex(s, K_{r-1}, fam)
+    fillings = enumerate_free(ctx.s, family_fp(ctx.f, ctx.s), **ctx.opts)
+    ctx.lines = [(count_cliques(q, ctx.r - 1), count_cliques(q, ctx.r), q) for q in fillings]
     ctx.ex_lower = profile.points[-1][1]
-    ctx.ex_inner = ex_general(ctx.s, ctx.r, ctx.fam, **ctx.opts).value
+    ctx.ex_inner = max(inner for _, inner, _ in ctx.lines)
     return None, {"gate": gate, "ex_slope": ctx.ex_lower, "ex_constant": ctx.ex_inner}
 
 
@@ -370,12 +371,11 @@ def _main_point(ctx: SimpleNamespace, point: dict, f_name: str, n: int, s: int, 
     forb = GraphFamily([matching(s + 1), ctx.f])
     brute = _brute(ctx, n, r, forb)
     formula = ctx.ex_lower * (n - s) + ctx.ex_inner
-    build = build_g_n_s(n, s, ctx.fam, "kr_count", r, **ctx.opts)
-    predicted = _witness_set(build.witness_graphs())
-    gap = build.value != formula
-    _compare(
-        point, brute, formula, predicted, construction_value=build.value, construction_gap=gap
-    )
+    values = [(slope * (n - s) + inner, q) for slope, inner, q in ctx.lines]
+    value = max(v for v, _ in values)
+    predicted = _witness_set([assemble_gns(n, s, q) for v, q in values if v == value])
+    gap = value != formula
+    _compare(point, brute, formula, predicted, construction_value=value, construction_gap=gap)
     if gap:
         point["notes"] = "no single filling attains both profile maxima"
 
@@ -472,8 +472,8 @@ def _forest_gate(ctx: SimpleNamespace) -> tuple[str | None, dict]:
     p = ctx.p = f.n // 2
     if not balanced or p > s:
         return HYPOTHESIS_UNMET, {"balanced_forest": balanced}
-    ctx.fam = family_fp(f, p - 1)
-    ctx.ex_fill = ex_general(p - 1, 2, ctx.fam, **ctx.opts).value
+    build = build_g_n_s(p - 1, p - 1, family_fp(f, p - 1), **ctx.opts)
+    ctx.ex_fill, ctx.filling = build.value, build.filling
     has_pm = matching_number(f) == p
     expected_fill = (p - 1) * (p - 2) // 2 if has_pm else 0
     ctx.t_max = (s - p + 1) // (p - 1) if ncomps == 1 and p >= 2 else 0
@@ -497,7 +497,7 @@ def _forest_point(ctx: SimpleNamespace, point: dict, f_name: str, n: int, s: int
     formula = (p - 1) * (n - p + 1) + ctx.ex_fill
     predicted = _witness_set(
         [
-            build_forest_extremal(n, p, t, ctx.fam, **ctx.opts)
+            build_forest_extremal(n, p, t, ctx.filling)
             for t in range(ctx.t_max + 1)
             if n - t * (2 * p - 1) >= p - 1
         ]

@@ -122,6 +122,20 @@ def test_cmd_construct_forest(capsys):
     assert g.n == 12 and g.edge_count() == 8 + 3  # star on 9 plus a triangle
 
 
+@pytest.mark.parametrize(
+    "n, t, err",
+    [
+        ("70", "0", "error: 70 vertices exceeds capacity\n"),
+        ("3", "1", "error: n=3 too small for p=2, t=1: needs at least 4\n"),
+        ("9", "-1", "error: t must be >= 0, got -1\n"),
+    ],
+)
+def test_cmd_construct_forest_refusals(n, t, err, capsys):
+    argv = ["construct", "forest-extremal", "--n", n, "--p", "2", "--t", t, "--F", "P4"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == err
+
+
 def test_cmd_verify_pass_and_reports(tmp_path, capsys):
     rc = main(
         [

@@ -130,11 +130,12 @@ def test_build_clique_candidate():
 
 def test_build_forest_extremal_composition():
     fam = family_fp(path(4), 1)
-    g = build_forest_extremal(12, 2, 1, fam)
+    filling = build_g_n_s(1, 1, fam).filling
+    g = build_forest_extremal(12, 2, 1, filling)
     assert g.n == 12
     assert matching_number(g) == 2  # split part contributes 1, the K_3 one more
     # t = 0 reduces to the split construction
-    g0 = build_forest_extremal(9, 2, 0, fam)
+    g0 = build_forest_extremal(9, 2, 0, filling)
     split = build_g_n_s(9, 1, fam, "edges").graph
     assert canonical_form(g0).key() == canonical_form(split).key()
 
@@ -144,9 +145,10 @@ def test_build_forest_extremal_edge_identity():
     for f, p in [(path(4), 2), (path(6), 3), (matching(2), 2)]:
         fam = family_fp(f, p - 1)
         fill = ex_general(p - 1, 2, fam).value
+        filling = build_g_n_s(p - 1, p - 1, fam).filling
         for t in range(0, 2):
             for n in range(p - 1 + t * (2 * p - 1) + p, 14):
-                g = build_forest_extremal(n, p, t, fam)
+                g = build_forest_extremal(n, p, t, filling)
                 expected = (
                     (p - 1) * (n - t * (2 * p - 1) - p + 1)
                     + fill
@@ -156,10 +158,11 @@ def test_build_forest_extremal_edge_identity():
 
 
 def test_build_forest_extremal_errors():
+    filling = build_g_n_s(1, 1, family_fp(path(4), 1)).filling
     with pytest.raises(ValueError):
-        build_forest_extremal(3, 2, 1, family_fp(path(4), 1))
+        build_forest_extremal(3, 2, 1, filling)
     with pytest.raises(ValueError):
-        build_forest_extremal(9, 2, -1, family_fp(path(4), 1))
+        build_forest_extremal(9, 2, -1, filling)
 
 
 def test_construction_spec_roundtrip():

@@ -1,10 +1,13 @@
 import json
+import sys
 from types import SimpleNamespace
 
 import pytest
 
-from matchturan import verifier
-from matchturan.constructions import build_g_n_s
+from matchturan import solver, verifier
+from matchturan.cli import main
+from matchturan.constructions import assemble_gns, build_g_n_s
+from matchturan.covering import family_fp
 from matchturan.graphs import (
     Graph,
     complete,
@@ -184,13 +187,13 @@ def test_forest_theorem_gates():
 def test_forest_filling_remark_failure_fails_the_report(monkeypatch):
     # a filling value off the perfect-matching identity fails the report by
     # itself: with no points to fail, only the gate's status says so
-    original = verifier.ex_general
+    original = verifier.build_g_n_s
 
     def off_by_one(*args, **kwargs):
-        result = original(*args, **kwargs)
-        return result._replace(value=result.value + 1)
+        build = original(*args, **kwargs)
+        return build._replace(value=build.value + 1)
 
-    monkeypatch.setattr(verifier, "ex_general", off_by_one)
+    monkeypatch.setattr(verifier, "build_g_n_s", off_by_one)
     report = verify_forest_theorem(matching(2), 2, [], f_name="M2")
     assert report.summary["filling_value"] == 1 != report.summary["filling_expected"]
     assert report.summary["remark_verdict"] == "fail"
@@ -198,18 +201,74 @@ def test_forest_filling_remark_failure_fails_the_report(monkeypatch):
 
 
 def test_main_point_notes_a_construction_gap(monkeypatch):
-    original = verifier.build_g_n_s
+    # no natural gap case is known at desk scale, so every line is lowered by
+    # one after the gate has taken ex_inner from them: the best line then
+    # falls one short of the formula
+    theorem = verifier.THEOREMS["main"]
 
-    def short(*args, **kwargs):
-        build = original(*args, **kwargs)
-        return build._replace(value=build.value - 1)
+    def short(ctx):
+        result = theorem.gate(ctx)
+        ctx.lines = [(slope, inner - 1, q) for slope, inner, q in ctx.lines]
+        return result
 
-    monkeypatch.setattr(verifier, "build_g_n_s", short)
+    monkeypatch.setitem(verifier.THEOREMS, "main", theorem._replace(gate=short))
     report = verify_main_theorem_exact(complete(3), 2, 2, [6], f_name="K3")
     point = report.points[0]
     assert point["construction_gap"] and point["construction_value"] == 7
     assert point["notes"] == "no single filling attains both profile maxima"
     assert point["verdict"] == "pass"  # the brute side still meets the formula
+
+
+def test_main_lines_equal_the_split_construction(monkeypatch):
+    # each point's construction value and predicted set, scored from the
+    # gate's lines, against build_g_n_s at that n; the brute side is stubbed
+    monkeypatch.setattr(
+        verifier, "_brute", lambda ctx, n, r, fam: SimpleNamespace(value=0, witnesses=())
+    )
+    met = 0
+    for name, f in (("K3", complete(3)), ("K4", complete(4)), ("C5", cycle(5))):
+        for s in (1, 2):
+            for r in (2, 3):
+                report = verify_main_theorem_exact(f, s, r, list(range(s, 10)), f_name=name)
+                if report.summary["status"] == "hypothesis-unmet":
+                    continue
+                met += 1
+                fam = family_fp(f, s)
+                for p in report.points:
+                    build = build_g_n_s(p["n"], s, fam, "kr_count", r)
+                    predicted = verifier._witness_set(
+                        [assemble_gns(p["n"], s, q) for q in build.fillings]
+                    )
+                    assert p["construction_value"] == build.value, (name, s, r, p["n"])
+                    assert p["predicted_witnesses"] == predicted, (name, s, r, p["n"])
+    assert met == 11  # all but one of the 12 (F, s, r)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["main", "--F", "K4", "--s", "2", "--r", "3", "--n", "6..8"], (4, 1)),
+        (["main", "--F", "C5", "--s", "2", "--r", "2", "--n", "6..8"], (4, 1)),
+        (["forest", "--F", "P4", "--s", "2", "--n", "6..8"], (2, 0)),
+    ],
+)
+def test_formula_sides_enumerate_one_filling_table(argv, expected, monkeypatch, capsys):
+    # (enumerations, repeats) on every matchturan binding of enumerate_free:
+    # `main` enumerates the profile's 2 tables, the gate's filling table (the
+    # profile's p = s table again) and the brute table; `forest` the filling
+    # table and the brute table
+    original = solver.enumerate_free
+    keys = []
+
+    def spy(n, family, **kwargs):
+        keys.append((n, family))
+        return original(n, family, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("matchturan") and getattr(module, "enumerate_free", None) is original:
+            monkeypatch.setattr(module, "enumerate_free", spy)
+    assert main(["verify", *argv]) == 0
+    assert (len(keys), len(keys) - len(set(keys))) == expected
 
 
 def _balanced_forest_shape_oracle(f: Graph) -> tuple[bool, int]:

@@ -44,14 +44,19 @@ rounds in which the change was faster.  Each interpreter also records a
 sha256 of each graph's canonical forms (rows and permutation of both
 relabellings), and the ledger states whether the two trees agree.
 
+It counts the `enumerate_free` calls of each `verify-grid` command and of
+`verify forest --F P4 --s 2 --n 6..8`, and how many of them repeat an
+earlier call's (n, family), in a fresh interpreter per tree and command,
+with a spy on every `matchturan.*` binding of the function.
+
 It counts the lines of each `src/matchturan/*.py` in both trees, as `wc
 -l` does, so that the tracked size of `src/` comes from the ledger.
 
 The JSON it writes holds both commits, the machine, every run's metrics
 and `correct` flag, per workload and side the median and quartiles of each
 end-to-end metric, the number of pairs the change won, the import
-times, the CLI runs, the per-call times, the canonical-form digests and
-the source line counts.
+times, the CLI runs, the per-call times, the canonical-form digests, the
+enumeration counts and the source line counts.
 """
 
 from __future__ import annotations
@@ -97,6 +102,35 @@ CLI_RUNS = {
 }
 CLI_WORKERS = [1, 2]
 CLI_ROUNDS = 10  # fresh interpreters per tree, run and worker count, as PAIRS
+# row of the enumerations table -> the command whose enumerate_free calls it counts
+ENUM_RUNS = {name: argv for name, argv, _ in workloads.VERIFY_COMMANDS}
+ENUM_RUNS["forest-P4"] = ["verify", "forest", "--F", "P4", "--s", "2", "--n", "6..8"]
+
+# runs `matchturan <argv>` in a tree's interpreter with every matchturan
+# binding of enumerate_free wrapped, and prints one JSON line: the exit code,
+# the calls, and the calls whose (n, family) an earlier call had
+ENUM_SPY = r"""
+import contextlib, importlib, io, json, pkgutil, sys
+import matchturan
+from matchturan import solver
+from matchturan.cli import main
+
+for info in pkgutil.iter_modules(matchturan.__path__):
+    importlib.import_module(f"matchturan.{info.name}")
+original = solver.enumerate_free
+keys = []
+
+def spy(n, family, *args, **kwargs):
+    keys.append((n, family))
+    return original(n, family, *args, **kwargs)
+
+for name, module in list(sys.modules.items()):
+    if name.startswith("matchturan") and getattr(module, "enumerate_free", None) is original:
+        module.enumerate_free = spy
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps({"exit": code, "calls": len(keys), "repeats": len(keys) - len(set(keys))}))
+"""
 
 # runs inside each tree's interpreter: reads "<op> <graph index> <a|b>" lines
 # and answers each with one JSON line, the call's time in us (null: still
@@ -243,6 +277,20 @@ def cli_times(trees: dict, work: Path) -> dict:
     return out
 
 
+def enumerations(trees: dict) -> dict:
+    """Per command and tree: its enumerate_free calls and repeats (ENUM_SPY)."""
+    out = {}
+    for row, argv in ENUM_RUNS.items():
+        out[row] = {"argv": argv}
+        for side, tree in trees.items():
+            proc = subprocess.run(
+                [sys.executable, "-c", ENUM_SPY, *argv], cwd=tree, check=True,
+                capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+            )
+            out[row][side] = json.loads(proc.stdout)
+    return out
+
+
 def bench(tree: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
@@ -363,6 +411,7 @@ def main() -> int:
             trees[side].mkdir(parents=True)
             export(rev, trees[side])
         lines = {side: src_lines(tree) for side, tree in trees.items()}
+        enums = enumerations(trees)
         imports = import_times(trees)
         cli = cli_times(trees, work)
         runs: dict = {w: {"parent": [], "change": []} for w in WORKLOADS}
@@ -430,6 +479,13 @@ def main() -> int:
                     "faster; canonical_sha256: sha256 of the canonical rows and "
                     "permutation of both relabellings",
             **calls,
+        },
+        "enumerations": {
+            "note": "enumerate_free calls of one run of each command in a fresh "
+                    "interpreter, counted by a spy on every matchturan binding of the "
+                    "function; repeats: calls whose (n, family) an earlier call of the "
+                    "run had",
+            **enums,
         },
         "src_lines": {
             "note": "lines per module of src/matchturan, as wc -l counts them",
