@@ -1,15 +1,15 @@
 """Command-line front end: exact Turán computations, cover families,
 candidate constructions, and theorem verification grids.
 
-The `verify` subcommands are built from `verifier.THEOREMS`: each entry's
-flags become its subparser, and a run parses the flag values by kind and
-calls the entry's `verifier.verify_*` function.  Only the commands that
-enumerate take `--ceiling` and `--workers`; only `verify` takes `--format`.
+The `verify` subcommands are built from `VERIFY`, keyed by the commands of
+`verifier.THEOREMS`: each entry's flags become its subparser, and a run
+parses the flag values by kind and calls the entry's `verifier.verify_*`
+function.  Only the commands that enumerate take `--ceiling` and
+`--workers`; only `verify` takes `--format`.
 
 A subcommand's arguments are added, and the engine modules imported, only
-when that subcommand is parsed (see `_LazyParser`), so parsing `ex` imports
-`graphs`, `containment` and `limits` alone; `verify` needs the theorem table
-and so the whole engine.
+when that subcommand is parsed (see `_LazyParser`), so parsing any command
+imports `graphs`, `containment` and `limits` alone.
 
 Reports are JSON (with a fixed `payload` section that is byte-identical for
 identical configurations; wall time lives in a sidecar field) plus CSV
@@ -25,7 +25,9 @@ import json
 import re
 import sys
 import time
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .containment import GraphFamily
 from .graphs import (
@@ -213,29 +215,73 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    from . import verifier
+# kinds of `verify` flag: an inclusive range "a..b" (or one integer), the
+# upper end N of a sweep from 1 (written N or 1..N), an integer, or a graph
+# token (whose text also names F in the report)
+RANGE, SWEEP, INT, GRAPH = "range", "sweep", "int", "graph"
+F_FLAG = ("--F", "forbidden", GRAPH)
 
-    theorem = verifier.THEOREMS[args.theorem]
+
+class VerifyCommand(NamedTuple):
+    """`matchturan verify <command>`: the public `verifier.verify_*` function
+    it calls, its flags, how flag values, in flag order, expand into the
+    function's positional arguments, and its help line."""
+
+    function: str
+    flags: tuple[tuple[str, str, str], ...] = ()  # (option, dest, kind)
+    expand: Callable[..., tuple] = lambda *values: values
+    help: str = ""
+
+
+# keyed and ordered as verifier.THEOREMS, which runs each replay
+VERIFY = {
+    "erdos-gallai": VerifyCommand(
+        "verify_erdos_gallai", (("--n", "n", RANGE), ("--s", "s", RANGE)),
+        lambda n, s: ([(a, b) for b in s for a in n if a >= 2 * b + 1],),
+    ),
+    "ma-hou": VerifyCommand(
+        "verify_ma_hou",
+        (("--n", "n", RANGE), ("--s", "s", RANGE), ("--r", "r", RANGE), ("--k", "k", RANGE)),
+        lambda n, s, r, k: ([(a, b, c, d) for b in s for c in r for d in k for a in n
+                             if a >= 2 * b + 1 and 2 <= c <= d],),
+    ),
+    "main": VerifyCommand("verify_main_theorem_exact",
+                          (F_FLAG, ("--s", "s", INT), ("--r", "r", INT), ("--n", "n", RANGE))),
+    "gerbner": VerifyCommand("verify_gerbner_slope",
+                             (F_FLAG, ("--s", "s", INT), ("--n", "n", RANGE))),
+    "forest": VerifyCommand("verify_forest_theorem",
+                            (F_FLAG, ("--s", "s", INT), ("--n", "n", RANGE))),
+    "tutte-berge": VerifyCommand("verify_tutte_berge", (("--n", "n", SWEEP),)),
+    "color-critical": VerifyCommand("verify_color_critical_components",
+                                    (F_FLAG, ("--r", "r", INT), ("--p", "p", RANGE))),
+    "pentagon": VerifyCommand("verify_cover_family_example",
+                              help="pentagon cover-family worked example"),
+}
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    command = VERIFY[args.theorem]
     values = []
     kwargs = {"ceiling": args.ceiling, "workers": args.workers}
-    for _option, dest, kind in theorem.flags:
+    for _option, dest, kind in command.flags:
         value = getattr(args, dest)
-        if kind == verifier.RANGE:
+        if kind == RANGE:
             value = parse_range(value)
-        elif kind == verifier.SWEEP:
+        elif kind == SWEEP:
             n = parse_range(value)
             if ".." in value and n[0] != 1:
                 raise ValueError(f"{args.theorem} sweeps {dest} = 1..N, not the range {value}")
             value = n[-1]
-        elif kind == verifier.GRAPH:
+        elif kind == GRAPH:
             kwargs["f_name"] = value
             value = parse_graph(value)
         values.append(value)
+    from . import verifier
+
     # looked up at call time, so that a wrapper installed on the module
     # attribute after import sees every run
-    run = getattr(verifier, theorem.function)
-    report = run(*theorem.expand(*values), **kwargs)
+    run = getattr(verifier, command.function)
+    report = run(*command.expand(*values), **kwargs)
     if not report.points:
         raise ValueError(f"the {args.theorem} grid has no points")
     for p in report.points:
@@ -344,20 +390,22 @@ def _fill_construct(p: argparse.ArgumentParser) -> None:
     p.set_defaults(func=cmd_construct)
 
 
-def _fill_verify(p: argparse.ArgumentParser) -> None:
-    from .verifier import GRAPH, INT, RANGE, SWEEP, THEOREMS
+def _fill_theorem(p: argparse.ArgumentParser, flags: tuple) -> None:
+    kind_help = {RANGE: "range, e.g. 5..9", SWEEP: "range, e.g. 5..9",
+                 GRAPH: "graph token, e.g. K4"}
+    for option, dest, kind in flags:
+        p.add_argument(option, dest=dest, required=True,
+                       type=int if kind == INT else str, help=kind_help.get(kind))
+    _add_common(p)
+    p.add_argument("--format", choices=("json", "csv", "both"), default="both",
+                   help="report formats to write (with --out)")
 
-    range_help = "range, e.g. 5..9"
-    flag_help = {RANGE: range_help, SWEEP: range_help, INT: None, GRAPH: "graph token, e.g. K4"}
-    ver_sub = p.add_subparsers(dest="theorem", required=True)
-    for theorem in THEOREMS.values():
-        v = ver_sub.add_parser(theorem.command, help=theorem.help)
-        for option, dest, kind in theorem.flags:
-            v.add_argument(option, dest=dest, required=True,
-                           type=int if kind == INT else str, help=flag_help[kind])
-        _add_common(v)
-        v.add_argument("--format", choices=("json", "csv", "both"), default="both",
-                       help="report formats to write (with --out)")
+
+def _fill_verify(p: argparse.ArgumentParser) -> None:
+    ver_sub = p.add_subparsers(dest="theorem", required=True, parser_class=_LazyParser)
+    for name, command in VERIFY.items():
+        ver_sub.add_parser(name, help=command.help,
+                           fill=partial(_fill_theorem, flags=command.flags))
     p.set_defaults(func=cmd_verify)
 
 

@@ -15,10 +15,11 @@ Asymptotic statements get a small-n policy: if every point from some n0
 onward passes, earlier failing points are verdicted "small-n-exception"
 rather than "fail", and the report records n0.
 
-One theorem table, `THEOREMS` (see `Theorem`), drives both the replays and
-the `matchturan verify` subcommands; one runner, `_run`, times every replay,
-short-circuits an unmet or degenerate gate, runs the theorem's finish (the
-small-n policy, for instance) and summarizes.
+One theorem table, `THEOREMS` (see `Theorem`), holds what runs each
+replay; one runner, `_run`, times every replay, short-circuits an unmet or
+degenerate gate, runs the theorem's finish (the small-n policy, for
+instance) and summarizes.  The `matchturan verify` flags, keyed by the same
+commands, are in `cli.VERIFY`, so that parsing them imports no engine module.
 """
 
 from __future__ import annotations
@@ -186,17 +187,11 @@ def _finite(x: int | float) -> int | str:
 # the theorem table and its runner
 # ---------------------------------------------------------------------------
 
-# kinds of `verify` flag: an inclusive range "a..b" (or one integer), the
-# upper end N of a sweep from 1 (written N or 1..N), an integer, or a graph
-# token (whose text also names F in the report)
-RANGE, SWEEP, INT, GRAPH = "range", "sweep", "int", "graph"
-F_FLAG = ("--F", "forbidden", GRAPH)
-
 
 class Theorem(NamedTuple):
-    """One entry of the theorem table: the `verify` subcommand and its
-    flags, how flag values expand into the `verify_*` call, the point keys
-    that are parameters, and the theorem's own pieces.
+    """One entry of the theorem table, keyed by its `matchturan verify`
+    command (whose flags `cli.VERIFY` holds): the report name, the point
+    keys that are parameters, and the theorem's own pieces.
 
     A point starts as a grid row's leading values under the keys in
     `params`; `score(ctx, point, *row)` adds both sides and the verdict
@@ -209,17 +204,11 @@ class Theorem(NamedTuple):
     returns further summary fields.  A "status" among the summary fields
     overrides the status the verdicts give."""
 
-    command: str  # `matchturan verify <command>`
     name: str  # the report's theorem name
-    function: str  # the public verify_* function
     params: tuple[str, ...]
     score: Callable[..., None]
-    flags: tuple[tuple[str, str, str], ...] = ()  # (option, dest, kind)
-    # flag values, in flag order -> positional arguments of `function`
-    expand: Callable[..., tuple] = lambda *values: values
     gate: Callable[[SimpleNamespace], tuple[str | None, dict]] | None = None
     finish: Callable[[SimpleNamespace, list[dict]], dict] | None = None
-    help: str = ""
 
 
 def _run(
@@ -396,7 +385,9 @@ def verify_main_theorem_exact(
 
     The hypothesis (independent-cover size > s, profile argmax at s) is
     computed first; when unmet every point is skipped with verdict
-    hypothesis-unmet."""
+    hypothesis-unmet.  An n below s is refused before anything runs."""
+    if any(n < s for n in n_range):
+        raise ValueError(f"need n >= s, got n={min(n_range)}, s={s}")
     rows = [(f_name, n, s, r) for n in sorted(n_range)]
     return _run("main", rows, f=f, s=s, r=r, ceiling=ceiling, workers=workers)
 
@@ -642,58 +633,18 @@ def verify_cover_family_example(*, ceiling: int | None = None, workers: int = 1)
 # ---------------------------------------------------------------------------
 
 THEOREMS = {
-    t.command: t
-    for t in (
-        Theorem(
-            "erdos-gallai", "erdos-gallai", "verify_erdos_gallai", ("n", "s"),
-            _erdos_gallai_point,
-            flags=(("--n", "n", RANGE), ("--s", "s", RANGE)),
-            expand=lambda n, s: ([(a, b) for b in s for a in n if a >= 2 * b + 1],),
-        ),
-        Theorem(
-            "ma-hou", "ma-hou", "verify_ma_hou", ("n", "s", "r", "k"), _ma_hou_point,
-            flags=(("--n", "n", RANGE), ("--s", "s", RANGE), ("--r", "r", RANGE),
-                   ("--k", "k", RANGE)),
-            expand=lambda n, s, r, k: ([
-                (a, b, c, d) for b in s for c in r for d in k for a in n
-                if a >= 2 * b + 1 and 2 <= c <= d
-            ],),
-        ),
-        Theorem(
-            "main", "main-exact", "verify_main_theorem_exact", ("F", "n", "s", "r"),
-            _main_point,
-            flags=(F_FLAG, ("--s", "s", INT), ("--r", "r", INT), ("--n", "n", RANGE)),
-            gate=_main_gate,
-            finish=_small_n_finish,
-        ),
-        Theorem(
-            "gerbner", "gerbner-slope", "verify_gerbner_slope", ("F", "n", "s"),
-            _gerbner_point,
-            flags=(F_FLAG, ("--s", "s", INT), ("--n", "n", RANGE)),
-            gate=_gerbner_gate,
-            finish=_gerbner_finish,
-        ),
-        Theorem(
-            "forest", "balanced-forest", "verify_forest_theorem", ("F", "n", "s"),
-            _forest_point,
-            flags=(F_FLAG, ("--s", "s", INT), ("--n", "n", RANGE)),
-            gate=_forest_gate,
-            finish=_small_n_finish,
-        ),
-        Theorem(
-            "tutte-berge", "tutte-berge", "verify_tutte_berge", ("n",), _tutte_berge_point,
-            flags=(("--n", "n", SWEEP),),
-        ),
-        Theorem(
-            "color-critical", "color-critical-components",
-            "verify_color_critical_components", ("F", "p", "r"), _color_critical_point,
-            flags=(F_FLAG, ("--r", "r", INT), ("--p", "p", RANGE)),
-            gate=_color_critical_gate,
-        ),
-        Theorem(
-            "pentagon", "pentagon-cover-family", "verify_cover_family_example", ("p",),
-            _pentagon_point,
-            help="pentagon cover-family worked example",
-        ),
-    )
+    "erdos-gallai": Theorem("erdos-gallai", ("n", "s"), _erdos_gallai_point),
+    "ma-hou": Theorem("ma-hou", ("n", "s", "r", "k"), _ma_hou_point),
+    "main": Theorem("main-exact", ("F", "n", "s", "r"), _main_point, _main_gate, _small_n_finish),
+    "gerbner": Theorem(
+        "gerbner-slope", ("F", "n", "s"), _gerbner_point, _gerbner_gate, _gerbner_finish
+    ),
+    "forest": Theorem(
+        "balanced-forest", ("F", "n", "s"), _forest_point, _forest_gate, _small_n_finish
+    ),
+    "tutte-berge": Theorem("tutte-berge", ("n",), _tutte_berge_point),
+    "color-critical": Theorem(
+        "color-critical-components", ("F", "p", "r"), _color_critical_point, _color_critical_gate
+    ),
+    "pentagon": Theorem("pentagon-cover-family", ("p",), _pentagon_point),
 }

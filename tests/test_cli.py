@@ -3,7 +3,7 @@ import json
 import pytest
 
 from matchturan import constructions, verifier
-from matchturan.cli import main, parse_family, parse_graph, parse_range
+from matchturan.cli import VERIFY, main, parse_family, parse_graph, parse_range
 from matchturan.graphs import (
     complete,
     cycle,
@@ -294,3 +294,10 @@ def test_verify_calls_the_module_attribute(monkeypatch, capsys):
     monkeypatch.setattr(verifier, "verify_erdos_gallai", wrapped)
     assert main(["verify", "erdos-gallai", "--n", "4..5", "--s", "1..2"]) == 0
     assert calls == [([(4, 1), (5, 1), (5, 2)],)]
+
+
+def test_the_verify_table_matches_the_theorem_table():
+    # `verify --help` lists the theorems in table order
+    assert list(VERIFY) == list(verifier.THEOREMS)
+    for command in VERIFY.values():
+        assert callable(getattr(verifier, command.function))

@@ -75,7 +75,7 @@ PARSED = {
     "ex --n 8 --forbid M4": LIGHT,
     "family --graph C5 --p 2": LIGHT,
     "construct gns --n 7 --s 2 --forbid K3": LIGHT,
-    "verify ma-hou --n 5 --s 1 --r 2 --k 3": ENGINE,
+    "verify ma-hou --n 5 --s 1 --r 2 --k 3": LIGHT,
 }
 
 
@@ -94,6 +94,12 @@ def test_an_ex_run_adds_only_the_solver_and_invariants():
     statement = "from matchturan import cli; cli.main(['ex', '--n', '5', '--forbid', 'M2'])"
     expected = sorted([*LIGHT, "matchturan.invariants", "matchturan.solver"])
     assert _loaded_after(statement) == expected
+
+
+def test_a_verify_run_adds_the_engine_it_calls():
+    argv = ["verify", "erdos-gallai", "--n", "3", "--s", "1"]
+    statement = f"from matchturan import cli; cli.main({argv!r})"
+    assert _loaded_after(statement) == ENGINE
 
 
 def test_dir_is_the_pinned_export_list():

@@ -271,6 +271,21 @@ def test_formula_sides_enumerate_one_filling_table(argv, expected, monkeypatch, 
     assert (len(keys), len(keys) - len(set(keys))) == expected
 
 
+def test_main_refuses_n_below_s_before_enumerating(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("enumerate_free called")
+
+    original = solver.enumerate_free
+    for name, module in list(sys.modules.items()):
+        if name.startswith("matchturan") and getattr(module, "enumerate_free", None) is original:
+            monkeypatch.setattr(module, "enumerate_free", never)
+    with pytest.raises(ValueError, match=r"need n >= s, got n=1, s=2"):
+        verify_main_theorem_exact(complete(4), 2, 3, [6, 1, 8], f_name="K4")
+    argv = ["verify", "main", "--F", "K4", "--s", "2", "--r", "3", "--n", "1..8"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: need n >= s, got n=1, s=2\n"
+
+
 def _balanced_forest_shape_oracle(f: Graph) -> tuple[bool, int]:
     """(is a balanced forest with at least one edge, component count), by
     2-colouring each tree: the gate's former implementation."""

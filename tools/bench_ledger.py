@@ -17,9 +17,11 @@ tree runs its own copy of perfbench/, which checks its CLI payloads
 against its golden files.
 
 It times `import matchturan`, `import matchturan.graphs` and `import
-matchturan.cli`, and the parse of one `ex` command (`parse ex`: build the
+matchturan.cli`, the parse of one `ex` command (`parse ex`: build the
 parser, parse `ex --n 8 --forbid M4` and its family, as `enum-matching`'s
-set-up does), in fresh interpreters, in process (interpreter start-up
+set-up does) and of one `verify` command (`parse verify`: build the
+parser and parse `verify-grid`'s `ma-hou` command line), in fresh
+interpreters, in process (interpreter start-up
 excluded), IMPORT_ROUNDS rounds per row, the trees alternating and
 swapping which goes first every round, and keeps each tree's median and
 the rounds in which the change was faster.
@@ -92,6 +94,9 @@ IMPORTS = {
     "parse ex": "from matchturan import cli; "
                 "cli.build_parser().parse_args(['ex', '--n', '8', '--forbid', 'M4']); "
                 "cli.parse_family('M4')",
+    # verify-grid's first command, the ma-hou grid
+    "parse verify": "from matchturan import cli; "
+                    f"cli.build_parser().parse_args({workloads.VERIFY_COMMANDS[0][1]!r})",
 }
 IMPORT_ROUNDS = 15  # fresh interpreters per tree and row
 # row of the CLI runs table -> the command line, run at each worker count
@@ -445,7 +450,9 @@ def main() -> int:
                      "bytecode_cache": "none (PYTHONDONTWRITEBYTECODE=1, fresh exports)"},
         "imports": {
             "note": f"in-process time of the import (parse ex: of the parser's "
-                    "build, the parse of ex --n 8 --forbid M4 and parse_family('M4')) "
+                    "build, the parse of ex --n 8 --forbid M4 and parse_family('M4'); "
+                    "parse verify: of the parser's build and the parse of verify-grid's "
+                    "ma-hou command line) "
                     f"in a fresh interpreter, {IMPORT_ROUNDS} rounds per tree, the "
                     "trees alternating; "
                     "change_faster: the rounds in which the change was faster",
